@@ -24,7 +24,7 @@ from .optimize import (OptimumRecord, ResidualTriple, SimplexExtremum,
                        brute_force_simplex, build_optimum_table, lemma3_residual,
                        maximize_family, threshold, tv_residuals, write_table_csv)
 from .sigproc import (DetectionMetrics, DetectionReport, HarmonicComponent,
-                      SignalConfig, WindowRecord, WindowSeries, classify_windows,
+                      SignalConfig, WindowSeries, classify_windows,
                       complexity_series, detect, indicator_mask, read_samples,
                       reference_config, report_to_dict, spectrum_distribution,
                       synthesize, write_report_json, write_samples,
@@ -38,9 +38,8 @@ __all__ = [
     "DimensionError", "DiscreteDistribution", "FDivergenceSpec",
     "FamilyError", "FamilyEvaluation", "FamilyPoint", "HAS_NUMBA",
     "HarmonicComponent", "OptimumRecord", "RangeError", "ResidualTriple",
-    "SignalConfig", "SimplexExtremum", "SupportError", "WindowRecord",
-    "WindowSeries", "brute_force_simplex", "build_optimum_table", "c_jsd",
-    "c_sq", "c_tv", "classify_windows", "complexity_series",
+    "SignalConfig", "SimplexExtremum", "SupportError", "WindowSeries",
+    "brute_force_simplex", "build_optimum_table", "c_jsd", "c_sq", "c_tv", "classify_windows", "complexity_series",
     "complexity_value", "detect", "disequilibrium", "disequilibrium_sq",
     "entropy_normalized", "error_function", "f_divergence",
     "family_complexity_direct", "family_eval", "family_surface",

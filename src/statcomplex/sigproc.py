@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .complexity import ComplexityKind, complexity_value
+from .complexity import ComplexityKind
 from .dist import DiscreteDistribution, uniform
 from .errors import AliasingError, DataShapeError, RangeError
 from .optimize import threshold as complexity_threshold
@@ -240,41 +241,97 @@ def spectrum_distribution(window) -> DiscreteDistribution:
     return DiscreteDistribution(power / total)
 
 
-@dataclass(frozen=True)
-class WindowRecord:
-    """One analysis window: its time center, spectrum, complexity, decision."""
-
-    t_center: float
-    distribution: DiscreteDistribution
-    c_value: float
-    decision: bool
-
-
 @dataclass
 class WindowSeries:
-    """Complexity per window; trailing partial window dropped."""
+    """Complexity per window, stored as columns; trailing partial window dropped."""
 
     kind: ComplexityKind
     window_length: int
     hop: int
     threshold: float
     sample_rate: float
-    windows: list
-
-    @property
-    def t_centers(self) -> np.ndarray:
-        return np.array([w.t_center for w in self.windows])
-
-    @property
-    def c_values(self) -> np.ndarray:
-        return np.array([w.c_value for w in self.windows])
-
-    @property
-    def decisions(self) -> np.ndarray:
-        return np.array([w.decision for w in self.windows], dtype=bool)
+    t_centers: np.ndarray
+    c_values: np.ndarray
+    decisions: np.ndarray
 
     def __len__(self):
-        return len(self.windows)
+        return int(self.c_values.size)
+
+
+# Windows per batch: bounds the working set at a few (chunk x N) arrays.
+_CHUNK_WINDOWS = 128
+_TINY = np.finfo(np.float64).tiny
+
+
+def _check_window_length(window_length) -> None:
+    if (not isinstance(window_length, (int, np.integer)) or window_length < 4
+            or window_length & (window_length - 1)):
+        raise RangeError(
+            f"window length {window_length!r} must be a power of two >= 4")
+
+
+def _prescale(x: np.ndarray) -> np.ndarray:
+    """Scale by the power of two nearest max|x|, so |FFT|^2 cannot overflow.
+
+    The scaling is exact in binary floating point and spectra are
+    normalized, so every window's distribution is unchanged.
+    """
+    return np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+
+
+def _frames(x: np.ndarray, window_length: int, hop: int) -> np.ndarray:
+    """Read-only (windows, window_length) view of every full window."""
+    return sliding_window_view(x, window_length)[::hop]
+
+
+def _mirror_sum(t: np.ndarray) -> np.ndarray:
+    """Row sums over all N spectrum bins of a term given on the N/2 + 1 rfft bins.
+
+    A real window's power spectrum is symmetric, p_k = p_{N-k}, so bins
+    1 .. N/2 - 1 stand for two bins each.
+    """
+    return t[:, 0] + t[:, -1] + 2.0 * t[:, 1:-1].sum(axis=1)
+
+
+def _batch_complexity(frames: np.ndarray, kind: ComplexityKind) -> np.ndarray:
+    """C of each row of `frames` over its normalized two-sided power spectrum.
+
+    Matches `complexity_value(spectrum_distribution(row), kind)`, including
+    its clips, with all-zero rows at exactly 0.  Updates run in place on
+    two (rows x N/2 + 1) arrays: a fresh temporary per step costs more in
+    page faults than the arithmetic does.
+    """
+    n = frames.shape[1]
+    log_n = math.log(n)
+    u = 1.0 / n
+    p = np.abs(np.fft.rfft(frames, axis=1))
+    p *= p
+    total = _mirror_sum(p)
+    zero = total == 0.0
+    p /= np.where(zero, 1.0, total)[:, None]
+    # p ln p with 0 ln 0 = 0; terms below the smallest normal float are negligible
+    t = np.maximum(p, _TINY)
+    np.log(t, out=t)
+    t *= p
+    h_nats = -_mirror_sum(t)
+    if kind is ComplexityKind.SQ:
+        np.subtract(p, u, out=t)
+        t *= t
+        d = _mirror_sum(t)
+    elif kind is ComplexityKind.TV:
+        np.subtract(p, u, out=t)
+        np.abs(t, out=t)
+        d = (0.5 * _mirror_sum(t)) ** 2
+    else:
+        m = p  # the mixture (p + u) / 2 >= u / 2 > 0
+        m += u
+        m *= 0.5
+        np.log(m, out=t)
+        t *= m
+        d = np.maximum(-_mirror_sum(t) - 0.5 * (h_nats + log_n), 0.0) / math.log(2.0)
+    c = np.clip(h_nats / log_n, 0.0, 1.0) * d
+    c[zero] = 0.0
+    return c
 
 
 def complexity_series(samples, window_length: int = 2048, hop: int = None,
@@ -285,8 +342,11 @@ def complexity_series(samples, window_length: int = 2048, hop: int = None,
     Windows start at multiples of `hop` (default: non-overlapping) and a
     trailing partial window is discarded.  Each window's decision is
     c_value > threshold; when no threshold is given, the 25%-of-maximum
-    rule for the window's alphabet size is used.
+    rule for the window's alphabet size is used.  Windows are processed
+    in fixed-size batches, so the memory used beyond a scaled copy of the
+    record stays O(batch x window_length) whatever the record length.
     """
+    _check_window_length(window_length)
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
         raise DataShapeError("input record must be 1-d")
@@ -299,21 +359,19 @@ def complexity_series(samples, window_length: int = 2048, hop: int = None,
     if x.size < window_length:
         raise DataShapeError(
             f"record of {x.size} samples is shorter than one window ({window_length})")
+    if not np.all(np.isfinite(x)):
+        raise DataShapeError("input record contains non-finite samples")
     if threshold is None:
         threshold = complexity_threshold(kind, window_length)
-    n_win = (x.size - window_length) // hop + 1
-    windows = []
-    for w in range(n_win):
-        start = w * hop
-        seg = x[start:start + window_length]
-        dist = spectrum_distribution(seg)
-        c = complexity_value(dist, kind)
-        windows.append(WindowRecord(
-            t_center=(start + window_length / 2) / sample_rate,
-            distribution=dist, c_value=c, decision=bool(c > threshold)))
+    frames = _frames(_prescale(x), window_length, hop)
+    c_values = np.concatenate([
+        _batch_complexity(frames[i:i + _CHUNK_WINDOWS], kind)
+        for i in range(0, frames.shape[0], _CHUNK_WINDOWS)])
+    t_centers = (np.arange(frames.shape[0]) * hop + window_length / 2) / sample_rate
     return WindowSeries(kind=kind, window_length=window_length, hop=int(hop),
                         threshold=float(threshold), sample_rate=float(sample_rate),
-                        windows=windows)
+                        t_centers=t_centers, c_values=c_values,
+                        decisions=c_values > threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +388,11 @@ _STATE_NAMES = {WINDOW_ON: "on", WINDOW_OFF: "off", WINDOW_MIXED: "mixed"}
 def classify_windows(config: SignalConfig, n_samples: int, window_length: int,
                      hop: int) -> np.ndarray:
     """Sample-exact window states: fully inside the on-interval, fully outside, or mixed."""
-    mask = indicator_mask(config, n_samples)
-    n_win = (n_samples - window_length) // hop + 1
-    states = np.empty(n_win, dtype=np.int64)
-    for w in range(n_win):
-        seg = mask[w * hop:w * hop + window_length]
-        if seg.all():
-            states[w] = WINDOW_ON
-        elif not seg.any():
-            states[w] = WINDOW_OFF
-        else:
-            states[w] = WINDOW_MIXED
-    return states
+    on_before = np.concatenate(([0], np.cumsum(indicator_mask(config, n_samples))))
+    starts = np.arange((n_samples - window_length) // hop + 1) * hop
+    on_count = on_before[starts + window_length] - on_before[starts]
+    return np.where(on_count == window_length, WINDOW_ON,
+                    np.where(on_count == 0, WINDOW_OFF, WINDOW_MIXED))
 
 
 @dataclass(frozen=True)
@@ -372,6 +423,7 @@ class DetectionReport:
     series: WindowSeries
     states: np.ndarray
     metrics: DetectionMetrics
+    samples: np.ndarray  # the analysed record, for rebuilding window spectra
 
 
 def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.TV,
@@ -384,6 +436,7 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
     toward the false-alarm rate; windows straddling an interval edge are
     reported but excluded from both rates.
     """
+    _check_window_length(window_length)
     x = np.asarray(samples, dtype=np.float64)
     gamma = complexity_threshold(kind, window_length, fraction)
     series = complexity_series(x, window_length=window_length, hop=window_length,
@@ -402,7 +455,7 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
         n_false_alarm=int((decisions & off).sum()),
     )
     return DetectionReport(config=config, kind=kind, threshold=float(gamma),
-                           series=series, states=states, metrics=metrics)
+                           series=series, states=states, metrics=metrics, samples=x)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +516,10 @@ def read_samples(path):
             frames = wf.readframes(wf.getnframes())
         return np.frombuffer(frames, dtype="<i2").astype(np.float64) / 32768.0, rate
     if suffix in (".raw", ".bin", ".f64"):
+        size = path.stat().st_size
+        if size % 8:
+            raise DataShapeError(
+                f"{path.name}: {size} bytes is not a whole number of float64 samples")
         return np.fromfile(path, dtype="<f8"), None
     raise RangeError(f"unsupported sample format {suffix!r}")
 
@@ -471,15 +528,17 @@ def write_series_csv(path, series: WindowSeries) -> None:
     """Per-window CSV: t_center, c_value, decision (decision is 0/1)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t_center,c_value,decision\n")
-        for w in series.windows:
-            fh.write(f"{w.t_center:.6g},{w.c_value:.6g},{int(w.decision)}\n")
+        for t, c, decision in zip(series.t_centers.tolist(), series.c_values.tolist(),
+                                  series.decisions.tolist()):
+            fh.write(f"{t:.6g},{c:.6g},{int(decision)}\n")
 
 
 def report_to_dict(report: DetectionReport, include_distributions: bool = False) -> dict:
     m = report.metrics
+    series = report.series
     payload = {
         "kind": report.kind.value,
-        "window_length": report.series.window_length,
+        "window_length": series.window_length,
         "threshold": _round6(report.threshold),
         "config": report.config.to_dict(),
         "metrics": {
@@ -497,17 +556,20 @@ def report_to_dict(report: DetectionReport, include_distributions: bool = False)
         },
         "windows": [
             {
-                "t_center": _round6(w.t_center),
-                "c_value": _round6(w.c_value),
-                "decision": bool(w.decision),
-                "state": _STATE_NAMES[int(state)],
+                "t_center": _round6(t),
+                "c_value": _round6(c),
+                "decision": decision,
+                "state": _STATE_NAMES[state],
             }
-            for w, state in zip(report.series.windows, report.states)
+            for t, c, decision, state in zip(
+                series.t_centers.tolist(), series.c_values.tolist(),
+                series.decisions.tolist(), report.states.tolist())
         ],
     }
     if include_distributions:
+        frames = _frames(_prescale(report.samples), series.window_length, series.hop)
         payload["distributions"] = [
-            [_round6(v) for v in w.distribution.probs] for w in report.series.windows
+            [_round6(v) for v in spectrum_distribution(frame).probs] for frame in frames
         ]
     return payload
 

@@ -190,6 +190,32 @@ def test_detect_error_codes(synth_dir, tmp_path):
                  "--config", cfg, "--kind", "euclid", *out]) == 3
 
 
+def test_detect_bad_sample_files_exit_4(synth_dir, tmp_path, capsys):
+    cfg = str(synth_dir / "config.json")
+    good = np.fromfile(synth_dir / "samples.f64", dtype="<f8")
+    for name, bad in (("nan", np.nan), ("inf", np.inf)):
+        x = good.copy()
+        x[5000] = bad
+        path = tmp_path / f"{name}.f64"
+        write_samples(path, x)
+        assert main(["detect", "--input", str(path), "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 4
+        assert "non-finite" in capsys.readouterr().err
+    cut = tmp_path / "cut.f64"
+    cut.write_bytes((synth_dir / "samples.f64").read_bytes()[:-3])
+    assert main(["detect", "--input", str(cut), "--config", cfg,
+                 "--out-dir", str(tmp_path)]) == 4
+    assert "float64 samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["2", "1000"])
+def test_detect_bad_window_length_exit_3(synth_dir, tmp_path, capsys, length):
+    assert main(["detect", "--input", str(synth_dir / "samples.f64"),
+                 "--config", str(synth_dir / "config.json"),
+                 "--window-length", length, "--out-dir", str(tmp_path)]) == 3
+    assert f"window length {length}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # demo
 # ---------------------------------------------------------------------------

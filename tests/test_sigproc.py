@@ -13,6 +13,7 @@ from statcomplex import (
     SignalConfig,
     classify_windows,
     complexity_series,
+    complexity_value,
     detect,
     indicator_mask,
     read_samples,
@@ -30,6 +31,7 @@ from statcomplex.sigproc import WINDOW_MIXED, WINDOW_OFF, WINDOW_ON
 
 TV = ComplexityKind.TV
 SQ = ComplexityKind.SQ
+N = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +223,61 @@ def test_silent_record_never_flags():
     assert not series.decisions.any()
 
 
+def _oracle_record():
+    """Record with all-zero, single-impulse, noise-free tone and noisy windows."""
+    x = np.zeros(4 * N)
+    x[2500] = 1.0
+    t = np.arange(2 * N)
+    x[2 * N:] = np.cos(2.0 * np.pi * 200 * t / N)
+    x[3 * N:] += np.random.default_rng(4).normal(size=N)
+    return x
+
+
+@pytest.mark.parametrize("kind", list(ComplexityKind))
+@pytest.mark.parametrize("hop", [N, N // 4, 64])
+def test_series_matches_scalar_oracle(kind, hop):
+    x = _oracle_record()
+    series = complexity_series(x, window_length=N, hop=hop, kind=kind)
+    starts = np.arange(len(series)) * hop
+    ref = np.array([complexity_value(spectrum_distribution(x[s:s + N]), kind)
+                    for s in starts])
+    np.testing.assert_allclose(series.c_values, ref, rtol=1e-12, atol=1e-14)
+    silent = np.array([not x[s:s + N].any() for s in starts])
+    assert silent.any()
+    assert np.all(series.c_values[silent] == 0.0)
+    assert np.array_equal(series.decisions, series.c_values > series.threshold)
+
+
+@pytest.mark.parametrize("kind", list(ComplexityKind))
+def test_series_extreme_amplitudes(kind):
+    x = synthesize(reference_config(3, seed=0))
+    base = complexity_series(x, kind=kind).c_values
+    # power-of-two scaling is exact, so C is bit-identical
+    assert np.array_equal(complexity_series(x * 2.0 ** 600, kind=kind).c_values, base)
+    for scale in (1e200, 1e-200):
+        c = complexity_series(x * scale, kind=kind).c_values
+        np.testing.assert_allclose(c, base, rtol=1e-12, atol=0.0)
+
+
+def test_series_rejects_non_finite_samples():
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros(4096)
+        x[3000] = bad
+        with pytest.raises(DataShapeError, match="non-finite"):
+            complexity_series(x, window_length=N)
+
+
+def test_window_length_validation():
+    x = np.zeros(4096)
+    cfg = SignalConfig(sample_rate=8192, duration=0.5)
+    for bad in (2, 1000, 0, 2048.0):
+        with pytest.raises(RangeError, match=f"window length {bad!r}"):
+            complexity_series(x, window_length=bad)
+        with pytest.raises(RangeError, match=f"window length {bad!r}"):
+            detect(x, cfg, TV, window_length=bad)
+    assert len(complexity_series(x, window_length=4)) == 1024
+
+
 def test_classify_windows_reference():
     cfg = reference_config(3, seed=0)
     states = classify_windows(cfg, cfg.n_samples, 2048, 2048)
@@ -230,6 +287,16 @@ def test_classify_windows_reference():
     # window 28 starts exactly at t = 7 s, the closed interval's right edge
     assert states[28] == WINDOW_MIXED
     assert (states[12:28] == WINDOW_ON).all()
+
+    mask = indicator_mask(cfg)
+    for hop in (N, N // 4, 64):
+        states = classify_windows(cfg, cfg.n_samples, N, hop)
+        expected = []
+        for start in range(0, cfg.n_samples - N + 1, hop):
+            seg = mask[start:start + N]
+            expected.append(WINDOW_ON if seg.all()
+                            else WINDOW_OFF if not seg.any() else WINDOW_MIXED)
+        assert states.tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +375,11 @@ def test_sample_io_errors(tmp_path):
         read_samples(bad)
     with pytest.raises(RangeError):
         write_samples(tmp_path / "x.wav", np.zeros(16))  # rate required
+    cut = tmp_path / "cut.f64"
+    write_samples(cut, np.ones(16))
+    cut.write_bytes(cut.read_bytes()[:-3])
+    with pytest.raises(DataShapeError, match="125 bytes"):
+        read_samples(cut)
 
 
 def test_series_csv(tmp_path):
