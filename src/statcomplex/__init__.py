@@ -16,7 +16,6 @@ from .complexity import (ComplexityKind, FamilyEvaluation, c_jsd, c_sq, c_tv,
 from .dist import DiscreteDistribution, FamilyPoint, normalize, spike_family, uniform
 from .errors import (AliasingError, DataShapeError, DegenerateInputError,
                      DimensionError, FamilyError, RangeError, SupportError)
-from .kernels import BACKEND, HAS_NUMBA
 from .measures import (FDivergenceSpec, disequilibrium_sq, entropy_normalized,
                        error_function, f_divergence, jsd, jsd_generator,
                        kl_divergence, kl_generator, total_variation, tv_generator)
@@ -33,10 +32,10 @@ from .sigproc import (DetectionMetrics, DetectionReport, HarmonicComponent,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasingError", "BACKEND", "ComplexityKind", "DataShapeError",
+    "AliasingError", "ComplexityKind", "DataShapeError",
     "DegenerateInputError", "DetectionMetrics", "DetectionReport",
     "DimensionError", "DiscreteDistribution", "FDivergenceSpec",
-    "FamilyError", "FamilyEvaluation", "FamilyPoint", "HAS_NUMBA",
+    "FamilyError", "FamilyEvaluation", "FamilyPoint",
     "HarmonicComponent", "OptimumRecord", "RangeError", "ResidualTriple",
     "SignalConfig", "SimplexExtremum", "SupportError", "WindowSeries",
     "brute_force_simplex", "build_optimum_table", "c_jsd", "c_sq", "c_tv", "classify_windows", "complexity_series",

@@ -21,20 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexity import (ComplexityKind, family_surface, simplex3_surface,
-                         write_family_grid_csv, write_simplex_grid_csv)
+from .complexity import (ComplexityKind, write_family_grid_csv,
+                         write_simplex_grid_csv)
 from .errors import DataShapeError, RangeError
 from .optimize import build_optimum_table, threshold, write_table_csv
+from .rows import round6
 from .sigproc import (WINDOW_OFF, WINDOW_ON, SignalConfig, detect,
                       read_samples, reference_config, synthesize,
                       write_report_json, write_samples, write_series_csv)
 
 _TABLE_DEFAULT_SIZES = "3,256,512,1024,2048"
 _DEMO_EXPERIMENTS = {"k3": 3, "k30": 30}
-
-
-def _round6(value: float) -> float:
-    return float(f"{value:.6g}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,18 +74,7 @@ def _load_signal_config(path, seed_override=None) -> SignalConfig:
 def cmd_tables(args) -> int:
     records = build_optimum_table(kinds=args.kinds, ns=args.sizes, mode=args.mode)
     out = _out_dir(args) / f"tables.{args.format}"
-    if args.format == "csv":
-        write_table_csv(out, records)
-    else:
-        rows = [
-            {"kind": r.kind.value, "n": r.n, "c_star": _round6(r.c_star),
-             "p_max_star": _round6(r.p_max_star), "omega_star": _round6(r.omega_star),
-             "n_minus_k_star": r.n_minus_k_star}
-            for r in records
-        ]
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+    write_table_csv(out, records)
     print(f"wrote {out} ({len(records)} rows)")
     return 0
 
@@ -102,34 +88,12 @@ def cmd_grid(args) -> int:
     if args.simplex:
         if args.n != 3:
             raise RangeError("the simplex grid is defined for n = 3 only")
-        if args.format == "csv":
-            write_simplex_grid_csv(out, kind, m)
-        else:
-            surf = simplex3_surface(kind, m)
-            rows = [
-                {"p1": _round6(i / m), "p2": _round6(j / m),
-                 "c": _round6(float(surf[i, j]))}
-                for i in range(m + 1) for j in range(m + 1 - i)
-            ]
-            with open(out, "w", encoding="utf-8") as fh:
-                json.dump(rows, fh)
-                fh.write("\n")
+        write_simplex_grid_csv(out, kind, m)
         n_rows = (m + 1) * (m + 2) // 2
     else:
         omegas = np.arange(1, m) / m
         p_maxes = np.arange(0, m + 1) / m
-        if args.format == "csv":
-            write_family_grid_csv(out, kind, args.n, omegas, p_maxes)
-        else:
-            surf = family_surface(kind, args.n, omegas, p_maxes)
-            rows = [
-                {"omega": _round6(w), "p_max": _round6(p),
-                 "c": _round6(float(surf[i, j]))}
-                for i, w in enumerate(omegas) for j, p in enumerate(p_maxes)
-            ]
-            with open(out, "w", encoding="utf-8") as fh:
-                json.dump(rows, fh)
-                fh.write("\n")
+        write_family_grid_csv(out, kind, args.n, omegas, p_maxes)
         n_rows = omegas.size * p_maxes.size
     print(f"wrote {out} ({n_rows} rows)")
     return 0
@@ -206,7 +170,7 @@ def cmd_demo(args) -> int:
         "seeds": seeds,
         "window_length": window_length,
         "fraction": fraction,
-        "thresholds": {k.value: _round6(threshold(k, window_length, fraction))
+        "thresholds": {k.value: round6(threshold(k, window_length, fraction))
                        for k in kinds},
         "per_seed": [],
     }
@@ -230,18 +194,18 @@ def cmd_demo(args) -> int:
             mean_off = float(c[off].mean()) if off.any() else math.nan
             met = report.metrics
             seed_entry["kinds"][kind.value] = {
-                "hit_rate_on_interval": _round6(met.hit_rate_on_interval),
-                "false_alarm_rate_off_interval": _round6(met.false_alarm_rate_off_interval),
-                "mean_c_on": _round6(mean_on),
-                "mean_c_off": _round6(mean_off),
+                "hit_rate_on_interval": round6(met.hit_rate_on_interval),
+                "false_alarm_rate_off_interval": round6(met.false_alarm_rate_off_interval),
+                "mean_c_on": round6(mean_on),
+                "mean_c_off": round6(mean_off),
             }
             sums_on[kind.value] += mean_on
             sums_off[kind.value] += mean_off
         summary["per_seed"].append(seed_entry)
     summary["mean_on_interval_c"] = {
-        k: _round6(v / len(seeds)) for k, v in sums_on.items()}
+        k: round6(v / len(seeds)) for k, v in sums_on.items()}
     summary["mean_off_interval_c"] = {
-        k: _round6(v / len(seeds)) for k, v in sums_off.items()}
+        k: round6(v / len(seeds)) for k, v in sums_off.items()}
     summary_path = out_dir / "summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)

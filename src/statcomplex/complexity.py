@@ -20,7 +20,8 @@ import numpy as np
 
 from . import kernels, measures
 from .dist import DiscreteDistribution, FamilyPoint, spike_family, uniform
-from .errors import FamilyError, RangeError
+from .errors import DimensionError, FamilyError, RangeError
+from .rows import write_rows
 
 
 class ComplexityKind(enum.Enum):
@@ -106,6 +107,8 @@ def family_complexity_direct(kind: ComplexityKind, point: FamilyPoint) -> float:
 
 def family_surface(kind: ComplexityKind, n: int, omegas, p_maxes) -> np.ndarray:
     """Complexity over the outer grid omegas x p_maxes; shape (len(w), len(p))."""
+    if n < 2:
+        raise DimensionError(f"family needs n >= 2, got {n}")
     w = np.asarray(omegas, dtype=np.float64)
     p = np.asarray(p_maxes, dtype=np.float64)
     if w.ndim != 1 or p.ndim != 1 or w.size == 0 or p.size == 0:
@@ -125,20 +128,19 @@ def simplex3_surface(kind: ComplexityKind, m: int) -> np.ndarray:
 
 
 def write_family_grid_csv(path, kind: ComplexityKind, n: int, omegas, p_maxes) -> None:
-    """CSV rows (omega, p_max, c), omega-major order."""
+    """Rows (omega, p_max, c), omega-major order; CSV, or JSON for a .json path."""
     surf = family_surface(kind, n, omegas, p_maxes)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("omega,p_max,c\n")
-        for i, w in enumerate(np.asarray(omegas, dtype=np.float64)):
-            for j, p in enumerate(np.asarray(p_maxes, dtype=np.float64)):
-                fh.write(f"{w:.6g},{p:.6g},{surf[i, j]:.6g}\n")
+    ps = np.asarray(p_maxes, dtype=np.float64).tolist()
+    write_rows(path, ("omega", "p_max", "c"), (
+        (w, p, c)
+        for w, row in zip(np.asarray(omegas, dtype=np.float64).tolist(), surf)
+        for p, c in zip(ps, row.tolist())))
 
 
 def write_simplex_grid_csv(path, kind: ComplexityKind, m: int) -> None:
-    """CSV rows (p1, p2, c) over the simplex lattice; off-simplex cells skipped."""
+    """Rows (p1, p2, c) over the simplex lattice, off-simplex cells skipped;
+    CSV, or JSON for a .json path."""
     surf = simplex3_surface(kind, m)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("p1,p2,c\n")
-        for i in range(m + 1):
-            for j in range(m + 1 - i):
-                fh.write(f"{i / m:.6g},{j / m:.6g},{surf[i, j]:.6g}\n")
+    write_rows(path, ("p1", "p2", "c"), (
+        (i / m, j / m, c)
+        for i in range(m + 1) for j, c in enumerate(surf[i, :m + 1 - i].tolist())))

@@ -1,9 +1,4 @@
-"""Numerically hot kernels: numba fast path with a pure-numpy fallback.
-
-The backend is chosen once at import time.  Setting the environment flag
-``STATCOMPLEX_NO_NUMBA`` to anything but ``0`` (or not having numba
-installed) selects the numpy path.  Both implementations are importable
-side by side for benchmarking; ``BACKEND`` names the active one.
+"""Closed-form kernels of the complexity surfaces, in plain Python and numpy.
 
 Kernels
 -------
@@ -23,7 +18,6 @@ the other two are log-free, so the complexity values are base-independent.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -35,24 +29,11 @@ _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
 _THIRD = 1.0 / 3.0
 
-_flag = os.environ.get("STATCOMPLEX_NO_NUMBA", "0").strip()
-_want_numba = _flag in ("", "0")
-
-HAS_NUMBA = False
-if _want_numba:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via the env flag
-        HAS_NUMBA = False
+# Lattice rows per block of `simplex3_c_grid`: bounds its temporaries.
+_SIMPLEX_ROW_CHUNK = 256
 
 
-# ---------------------------------------------------------------------------
-# scalar closed forms (plain python; compiled by numba on the fast path)
-# ---------------------------------------------------------------------------
-
-def _family_hdc_scalar(kind: int, n: float, omega: float, p_max: float):
+def family_hdc(kind: int, n: float, omega: float, p_max: float):
     """Two-level family point: returns (h, d, c) with c = h * d.
 
     h is the normalized entropy factor; at p_max in {0, 1} the vanished
@@ -64,9 +45,9 @@ def _family_hdc_scalar(kind: int, n: float, omega: float, p_max: float):
     t_low = 0.0 if p_max >= 1.0 else (1.0 - p_max) * math.log((1.0 - p_max) / omega)
     t_high = 0.0 if p_max <= 0.0 else p_max * math.log(p_max / (1.0 - omega))
     h = 1.0 - (t_low + t_high) / ln_n
-    if kind == 0:
+    if kind == KIND_SQ:
         d = (p_max + omega - 1.0) ** 2 / (n * omega * (1.0 - omega))
-    elif kind == 2:
+    elif kind == KIND_TV:
         d = (p_max + omega - 1.0) ** 2
     else:
         # mixture with the uniform reference: group masses (1-p+w)/2, (1+p-w)/2
@@ -77,55 +58,7 @@ def _family_hdc_scalar(kind: int, n: float, omega: float, p_max: float):
     return h, d, h * d
 
 
-def _simplex3_c_scalar(kind: int, x: float, y: float, z: float) -> float:
-    """Complexity of the 3-state distribution (x, y, z)."""
-    hx = -x * math.log(x) if x > 0.0 else 0.0
-    hy = -y * math.log(y) if y > 0.0 else 0.0
-    hz = -z * math.log(z) if z > 0.0 else 0.0
-    h = (hx + hy + hz) / _LN3
-    if kind == 0:
-        d = (x - _THIRD) ** 2 + (y - _THIRD) ** 2 + (z - _THIRD) ** 2
-    elif kind == 2:
-        tv = 0.5 * (abs(x - _THIRD) + abs(y - _THIRD) + abs(z - _THIRD))
-        d = tv * tv
-    else:
-        mx = 0.5 * (x + _THIRD)
-        my = 0.5 * (y + _THIRD)
-        mz = 0.5 * (z + _THIRD)
-        h_mix = -(mx * math.log(mx) + my * math.log(my) + mz * math.log(mz))
-        d = (h_mix - 0.5 * (hx + hy + hz + _LN3)) / _LN2
-    return h * d
-
-
-def _family_c_grid_loops(kind, n, omegas, p_maxes, out):
-    for i in range(omegas.size):
-        for j in range(p_maxes.size):
-            _, _, c = _family_hdc_scalar(kind, n, omegas[i], p_maxes[j])
-            out[i, j] = c
-    return out
-
-
-def _simplex3_c_grid_loops(kind, m, out):
-    for i in range(m + 1):
-        x = i / m
-        for j in range(m + 1 - i):
-            y = j / m
-            z = 1.0 - x - y
-            if z < 0.0:
-                z = 0.0
-            out[i, j] = _simplex3_c_scalar(kind, x, y, z)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy (vectorized) implementations
-# ---------------------------------------------------------------------------
-
-def family_hdc_numpy(kind: int, n: float, omega: float, p_max: float):
-    return _family_hdc_scalar(kind, n, omega, p_max)
-
-
-def family_c_grid_numpy(kind: int, n: float, omegas: np.ndarray, p_maxes: np.ndarray) -> np.ndarray:
+def family_c_grid(kind: int, n: float, omegas: np.ndarray, p_maxes: np.ndarray) -> np.ndarray:
     w = np.asarray(omegas, dtype=np.float64)[:, None]
     p = np.asarray(p_maxes, dtype=np.float64)[None, :]
     ln_n = math.log(n)
@@ -145,13 +78,13 @@ def family_c_grid_numpy(kind: int, n: float, omegas: np.ndarray, p_maxes: np.nda
     return h * d
 
 
-def simplex3_c_grid_numpy(kind: int, m: int, row_chunk: int = 256) -> np.ndarray:
+def simplex3_c_grid(kind: int, m: int) -> np.ndarray:
     """Surface over {(i/m, j/m): i + j <= m}; cells outside the simplex are NaN."""
     xs = np.arange(m + 1) / m
     out = np.full((m + 1, m + 1), np.nan)
     third = _THIRD
-    for i0 in range(0, m + 1, row_chunk):
-        i1 = min(i0 + row_chunk, m + 1)
+    for i0 in range(0, m + 1, _SIMPLEX_ROW_CHUNK):
+        i1 = min(i0 + _SIMPLEX_ROW_CHUNK, m + 1)
         x = xs[i0:i1, None]
         y = xs[None, :]
         z = 1.0 - x - y
@@ -176,63 +109,3 @@ def simplex3_c_grid_numpy(kind: int, m: int, row_chunk: int = 256) -> np.ndarray
             d = (h_mix - 0.5 * (h_nats + _LN3)) / _LN2
         out[i0:i1, :] = np.where(valid, h * d, np.nan)
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba compilation and backend selection
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-    _family_hdc_nb = njit(cache=True)(_family_hdc_scalar)
-    _simplex3_c_nb = njit(cache=True)(_simplex3_c_scalar)
-
-    @njit(cache=True)
-    def _family_c_grid_nb(kind, n, omegas, p_maxes, out):
-        for i in range(omegas.size):
-            for j in range(p_maxes.size):
-                _, _, c = _family_hdc_nb(kind, n, omegas[i], p_maxes[j])
-                out[i, j] = c
-        return out
-
-    @njit(cache=True)
-    def _simplex3_c_grid_nb(kind, m, out):
-        for i in range(m + 1):
-            x = i / m
-            for j in range(m + 1 - i):
-                y = j / m
-                z = 1.0 - x - y
-                if z < 0.0:
-                    z = 0.0
-                out[i, j] = _simplex3_c_nb(kind, x, y, z)
-        return out
-
-    def family_hdc_numba(kind: int, n: float, omega: float, p_max: float):
-        return _family_hdc_nb(kind, n, omega, p_max)
-
-    def family_c_grid_numba(kind, n, omegas, p_maxes):
-        out = np.empty((len(omegas), len(p_maxes)))
-        return _family_c_grid_nb(
-            kind, float(n), np.asarray(omegas, dtype=np.float64),
-            np.asarray(p_maxes, dtype=np.float64), out,
-        )
-
-    def simplex3_c_grid_numba(kind, m, row_chunk: int = 0):
-        out = np.full((m + 1, m + 1), np.nan)
-        return _simplex3_c_grid_nb(kind, m, out)
-
-else:  # pragma: no cover - depends on environment
-    family_hdc_numba = None
-    family_c_grid_numba = None
-    simplex3_c_grid_numba = None
-
-
-if HAS_NUMBA:
-    BACKEND = "numba"
-    family_hdc = family_hdc_numba
-    family_c_grid = family_c_grid_numba
-    simplex3_c_grid = simplex3_c_grid_numba
-else:
-    BACKEND = "numpy"
-    family_hdc = family_hdc_numpy
-    family_c_grid = family_c_grid_numpy
-    simplex3_c_grid = simplex3_c_grid_numpy

@@ -24,6 +24,7 @@ from . import kernels
 from .complexity import ComplexityKind, family_eval, simplex3_surface
 from .dist import FamilyPoint
 from .errors import DimensionError, RangeError
+from .rows import write_rows
 
 _COARSE = 512
 _DESCENT_TOL = 1e-7
@@ -103,7 +104,11 @@ def _c_at(code: int, n: int, omega: float, p_max: float) -> float:
 
 
 def _ascend(code, n, omega, p_max, w_lo, w_hi, step0):
-    """Coordinate ascent with step halving; deterministic and derivative-free."""
+    """Coordinate ascent with step halving; deterministic and derivative-free.
+
+    With w_lo == w_hi == omega every omega move is skipped, which leaves a
+    1-d ascent in p_max.
+    """
     c = _c_at(code, n, omega, p_max)
     step = step0
     while step >= _DESCENT_TOL:
@@ -121,26 +126,6 @@ def _ascend(code, n, omega, p_max, w_lo, w_hi, step0):
                     improved = True
         step *= 0.5
     return omega, p_max, c
-
-
-def _ascend_p(code, n, omega, p_max, step0):
-    """1-d version of the ascent, omega held fixed."""
-    c = _c_at(code, n, omega, p_max)
-    step = step0
-    while step >= _DESCENT_TOL:
-        improved = True
-        while improved:
-            improved = False
-            for dp in (step, -step):
-                p2 = min(max(p_max + dp, 0.0), 1.0)
-                if p2 == p_max:
-                    continue
-                c2 = _c_at(code, n, omega, p2)
-                if c2 > c:
-                    p_max, c = p2, c2
-                    improved = True
-        step *= 0.5
-    return p_max, c
 
 
 @functools.lru_cache(maxsize=128)
@@ -172,17 +157,16 @@ def maximize_family(kind: ComplexityKind, n: int, mode: str = "continuous") -> O
         i, j = divmod(int(np.argmax(surf)), ps.size)
         omega, p_max, c = _ascend(code, n, float(ws[i]), float(ps[j]), w_lo, w_hi, 1.0 / _COARSE)
     else:
-        ks = np.arange(1, n, dtype=np.int64)
-        ws = ks / float(n)
+        ws = np.arange(1, n, dtype=np.int64) / float(n)
         ps_coarse = np.arange(17) / 16.0
         surf = np.asarray(kernels.family_c_grid(code, float(n), ws, ps_coarse))
         best = None
-        for row, k in enumerate(ks):
+        for row, w in enumerate(ws.tolist()):
             j = int(np.argmax(surf[row]))
-            p_k, c_k = _ascend_p(code, n, float(ws[row]), float(ps_coarse[j]), 1.0 / 16.0)
-            key = (-c_k, float(ws[row]), p_k)
+            _, p_k, c_k = _ascend(code, n, w, float(ps_coarse[j]), w, w, 1.0 / 16.0)
+            key = (-c_k, w, p_k)
             if best is None or key < best[0]:
-                best = (key, float(ws[row]), p_k, c_k)
+                best = (key, w, p_k, c_k)
         _, omega, p_max, c = best
 
     if p_max < 0.5:
@@ -206,11 +190,10 @@ def build_optimum_table(kinds=None, ns=_TABLE_SIZES, mode: str = "continuous"):
 
 
 def write_table_csv(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("kind,n,c_star,p_max_star,omega_star,n_minus_k_star\n")
-        for r in records:
-            fh.write(f"{r.kind.value},{r.n},{r.c_star:.6g},{r.p_max_star:.6g},"
-                     f"{r.omega_star:.6g},{r.n_minus_k_star}\n")
+    """One row per record; CSV, or JSON for a .json path."""
+    write_rows(path, ("kind", "n", "c_star", "p_max_star", "omega_star", "n_minus_k_star"),
+               ((r.kind.value, r.n, r.c_star, r.p_max_star, r.omega_star, r.n_minus_k_star)
+                for r in records), indent=2)
 
 
 def tv_residuals(n: int, omega: float, p_max: float) -> ResidualTriple:

@@ -28,6 +28,7 @@ from .complexity import ComplexityKind
 from .dist import DiscreteDistribution, uniform
 from .errors import AliasingError, DataShapeError, RangeError
 from .optimize import threshold as complexity_threshold
+from .rows import round6, write_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -263,11 +264,26 @@ _CHUNK_WINDOWS = 128
 _TINY = np.finfo(np.float64).tiny
 
 
-def _check_window_length(window_length) -> None:
+def _check_record(samples, window_length) -> np.ndarray:
+    """The record as a float64 array, once the window length and samples are valid.
+
+    Raises RangeError for a window length that is not a power of two >= 4,
+    and DataShapeError for a record that is not 1-d, is shorter than one
+    window or holds non-finite samples.
+    """
     if (not isinstance(window_length, (int, np.integer)) or window_length < 4
             or window_length & (window_length - 1)):
         raise RangeError(
             f"window length {window_length!r} must be a power of two >= 4")
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1:
+        raise DataShapeError("input record must be 1-d")
+    if x.size < window_length:
+        raise DataShapeError(
+            f"record of {x.size} samples is shorter than one window ({window_length})")
+    if not np.all(np.isfinite(x)):
+        raise DataShapeError("input record contains non-finite samples")
+    return x
 
 
 def _prescale(x: np.ndarray) -> np.ndarray:
@@ -346,21 +362,13 @@ def complexity_series(samples, window_length: int = 2048, hop: int = None,
     in fixed-size batches, so the memory used beyond a scaled copy of the
     record stays O(batch x window_length) whatever the record length.
     """
-    _check_window_length(window_length)
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataShapeError("input record must be 1-d")
+    x = _check_record(samples, window_length)
     if hop is None:
         hop = window_length
     if not isinstance(hop, (int, np.integer)) or hop < 1:
         raise RangeError("hop must be a positive integer number of samples")
     if not sample_rate > 0.0:
         raise RangeError("sample rate must be positive")
-    if x.size < window_length:
-        raise DataShapeError(
-            f"record of {x.size} samples is shorter than one window ({window_length})")
-    if not np.all(np.isfinite(x)):
-        raise DataShapeError("input record contains non-finite samples")
     if threshold is None:
         threshold = complexity_threshold(kind, window_length)
     frames = _frames(_prescale(x), window_length, hop)
@@ -436,8 +444,7 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
     toward the false-alarm rate; windows straddling an interval edge are
     reported but excluded from both rates.
     """
-    _check_window_length(window_length)
-    x = np.asarray(samples, dtype=np.float64)
+    x = _check_record(samples, window_length)
     gamma = complexity_threshold(kind, window_length, fraction)
     series = complexity_series(x, window_length=window_length, hop=window_length,
                                kind=kind, threshold=gamma,
@@ -461,10 +468,6 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
-
-def _round6(value: float) -> float:
-    return float(f"{value:.6g}")
-
 
 def write_samples(path, x, sample_rate: float = None) -> None:
     """Save a record: .csv (header 'x'), .wav (16-bit PCM mono, peak-scaled
@@ -525,12 +528,10 @@ def read_samples(path):
 
 
 def write_series_csv(path, series: WindowSeries) -> None:
-    """Per-window CSV: t_center, c_value, decision (decision is 0/1)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t_center,c_value,decision\n")
-        for t, c, decision in zip(series.t_centers.tolist(), series.c_values.tolist(),
-                                  series.decisions.tolist()):
-            fh.write(f"{t:.6g},{c:.6g},{int(decision)}\n")
+    """Per-window rows t_center, c_value, decision (0/1); CSV, or JSON for a .json path."""
+    write_rows(path, ("t_center", "c_value", "decision"),
+               zip(series.t_centers.tolist(), series.c_values.tolist(),
+                   map(int, series.decisions.tolist())))
 
 
 def report_to_dict(report: DetectionReport, include_distributions: bool = False) -> dict:
@@ -539,7 +540,7 @@ def report_to_dict(report: DetectionReport, include_distributions: bool = False)
     payload = {
         "kind": report.kind.value,
         "window_length": series.window_length,
-        "threshold": _round6(report.threshold),
+        "threshold": round6(report.threshold),
         "config": report.config.to_dict(),
         "metrics": {
             "n_windows": m.n_windows,
@@ -549,15 +550,15 @@ def report_to_dict(report: DetectionReport, include_distributions: bool = False)
             "n_hit": m.n_hit,
             "n_false_alarm": m.n_false_alarm,
             "hit_rate_on_interval": (None if math.isnan(m.hit_rate_on_interval)
-                                     else _round6(m.hit_rate_on_interval)),
+                                     else round6(m.hit_rate_on_interval)),
             "false_alarm_rate_off_interval": (
                 None if math.isnan(m.false_alarm_rate_off_interval)
-                else _round6(m.false_alarm_rate_off_interval)),
+                else round6(m.false_alarm_rate_off_interval)),
         },
         "windows": [
             {
-                "t_center": _round6(t),
-                "c_value": _round6(c),
+                "t_center": round6(t),
+                "c_value": round6(c),
                 "decision": decision,
                 "state": _STATE_NAMES[state],
             }
@@ -569,7 +570,7 @@ def report_to_dict(report: DetectionReport, include_distributions: bool = False)
     if include_distributions:
         frames = _frames(_prescale(report.samples), series.window_length, series.hop)
         payload["distributions"] = [
-            [_round6(v) for v in spectrum_distribution(frame).probs] for frame in frames
+            [round6(v) for v in spectrum_distribution(frame).probs] for frame in frames
         ]
     return payload
 

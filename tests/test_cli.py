@@ -82,6 +82,13 @@ def test_grid_rejects_bad_requests(tmp_path):
     assert main(["grid", "--kind", "manhattan", *out]) == 3
 
 
+def test_grid_n_below_2_exit_3(tmp_path, capsys):
+    for n in ("1", "0"):
+        assert main(["grid", "--kind", "tv", "--n", n, "--out-dir", str(tmp_path)]) == 3
+        assert f"got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------

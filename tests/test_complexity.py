@@ -5,6 +5,7 @@ import pytest
 
 from statcomplex import (
     ComplexityKind,
+    DimensionError,
     FamilyError,
     FamilyEvaluation,
     FamilyPoint,
@@ -197,6 +198,23 @@ def test_simplex3_surface():
     assert surf[i, j] == pytest.approx(c_sq(third), abs=1e-12)
     with pytest.raises(RangeError):
         simplex3_surface(ComplexityKind.SQ, 1)
+
+
+def test_family_surface_rejects_n_below_2():
+    for n in (1, 0, -3):
+        with pytest.raises(DimensionError, match=f"got {n}"):
+            family_surface(ComplexityKind.TV, n, [0.5], [0.5])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_simplex3_surface_matches_direct_functional(kind):
+    m = 12
+    surf = simplex3_surface(kind, m)
+    for i in range(m + 1):
+        for j in range(m + 1 - i):
+            z = max(1.0 - i / m - j / m, 0.0)  # the surface clamps round-off below 0 too
+            direct = complexity_value([i / m, j / m, z], kind)
+            assert surf[i, j] == pytest.approx(direct, rel=1e-12, abs=1e-14), (i, j)
 
 
 def test_family_grid_csv(tmp_path):

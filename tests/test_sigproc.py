@@ -16,6 +16,7 @@ from statcomplex import (
     complexity_value,
     detect,
     indicator_mask,
+    maximize_family,
     read_samples,
     reference_config,
     report_to_dict,
@@ -276,6 +277,19 @@ def test_window_length_validation():
         with pytest.raises(RangeError, match=f"window length {bad!r}"):
             detect(x, cfg, TV, window_length=bad)
     assert len(complexity_series(x, window_length=4)) == 1024
+
+
+def test_bad_records_rejected_before_threshold_solve():
+    cfg = SignalConfig(sample_rate=8192, duration=0.5)
+    with_nan = np.zeros(4096)
+    with_nan[3000] = np.nan
+    for bad in (with_nan, np.zeros(100)):
+        maximize_family.cache_clear()
+        with pytest.raises(DataShapeError):
+            detect(bad, cfg, TV, window_length=N)
+        with pytest.raises(DataShapeError):
+            complexity_series(bad, window_length=N, kind=TV)
+        assert maximize_family.cache_info().misses == 0
 
 
 def test_classify_windows_reference():
