@@ -13,7 +13,6 @@ that complexity values are comparable across alphabet sizes.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,31 +20,8 @@ import numpy as np
 from . import kernels, measures
 from .dist import DiscreteDistribution, FamilyPoint, spike_family, uniform
 from .errors import DimensionError, FamilyError, RangeError
+from .kernels import ComplexityKind
 from .rows import write_rows
-
-
-class ComplexityKind(enum.Enum):
-    """Disequilibrium flavor used in the complexity product."""
-
-    SQ = "sq"
-    JSD = "jsd"
-    TV = "tv"
-
-    @classmethod
-    def parse(cls, text: str) -> "ComplexityKind":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            valid = ", ".join(k.value for k in cls)
-            raise RangeError(f"unknown complexity kind {text!r}; expected one of: {valid}")
-
-    @property
-    def kernel_code(self) -> int:
-        return {
-            ComplexityKind.SQ: kernels.KIND_SQ,
-            ComplexityKind.JSD: kernels.KIND_JSD,
-            ComplexityKind.TV: kernels.KIND_TV,
-        }[self]
 
 
 def disequilibrium(dist, kind: ComplexityKind) -> float:
@@ -94,7 +70,7 @@ class FamilyEvaluation:
 
 def family_eval(kind: ComplexityKind, point: FamilyPoint) -> FamilyEvaluation:
     """Evaluate one two-level family point through the closed forms."""
-    h, d, c = kernels.family_hdc(kind.kernel_code, float(point.n), point.omega_value, point.p_max)
+    h, d, c = kernels.family_hdc(kind, float(point.n), point.omega_value, point.p_max)
     return FamilyEvaluation(kind=kind, point=point, h=h, d=d, c=c)
 
 
@@ -109,6 +85,8 @@ def family_surface(kind: ComplexityKind, n: int, omegas, p_maxes) -> np.ndarray:
     """Complexity over the outer grid omegas x p_maxes; shape (len(w), len(p))."""
     if n < 2:
         raise DimensionError(f"family needs n >= 2, got {n}")
+    if n >= 2 ** 53:
+        raise DimensionError("family needs n < 2**53, the range of exact float64 integers")
     w = np.asarray(omegas, dtype=np.float64)
     p = np.asarray(p_maxes, dtype=np.float64)
     if w.ndim != 1 or p.ndim != 1 or w.size == 0 or p.size == 0:
@@ -117,14 +95,14 @@ def family_surface(kind: ComplexityKind, n: int, omegas, p_maxes) -> np.ndarray:
         raise FamilyError("omega grid values must lie strictly inside (0, 1)")
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise RangeError("p_max grid values must lie in [0, 1]")
-    return np.asarray(kernels.family_c_grid(kind.kernel_code, float(n), w, p))
+    return np.asarray(kernels.family_c_grid(kind, float(n), w, p))
 
 
 def simplex3_surface(kind: ComplexityKind, m: int) -> np.ndarray:
     """Complexity over the lattice {(i/m, j/m, 1-i/m-j/m)}; NaN off-simplex."""
     if m < 2:
         raise RangeError("simplex lattice needs m >= 2")
-    return np.asarray(kernels.simplex3_c_grid(kind.kernel_code, int(m)))
+    return np.asarray(kernels.simplex3_c_grid(kind, int(m)))
 
 
 def write_family_grid_csv(path, kind: ComplexityKind, n: int, omegas, p_maxes) -> None:

@@ -99,17 +99,17 @@ def _omega_band(kind: ComplexityKind, n: int):
     return _OMEGA_CLIP, 1.0 - _OMEGA_CLIP
 
 
-def _c_at(code: int, n: int, omega: float, p_max: float) -> float:
-    return kernels.family_hdc(code, float(n), omega, p_max)[2]
+def _c_at(kind: ComplexityKind, n: int, omega: float, p_max: float) -> float:
+    return kernels.family_hdc(kind, float(n), omega, p_max)[2]
 
 
-def _ascend(code, n, omega, p_max, w_lo, w_hi, step0):
+def _ascend(kind, n, omega, p_max, w_lo, w_hi, step0):
     """Coordinate ascent with step halving; deterministic and derivative-free.
 
     With w_lo == w_hi == omega every omega move is skipped, which leaves a
     1-d ascent in p_max.
     """
-    c = _c_at(code, n, omega, p_max)
+    c = _c_at(kind, n, omega, p_max)
     step = step0
     while step >= _DESCENT_TOL:
         improved = True
@@ -120,7 +120,7 @@ def _ascend(code, n, omega, p_max, w_lo, w_hi, step0):
                 p2 = min(max(p_max + dp, 0.0), 1.0)
                 if w2 == omega and p2 == p_max:
                     continue
-                c2 = _c_at(code, n, w2, p2)
+                c2 = _c_at(kind, n, w2, p2)
                 if c2 > c:
                     omega, p_max, c = w2, p2, c2
                     improved = True
@@ -142,10 +142,13 @@ def maximize_family(kind: ComplexityKind, n: int, mode: str = "continuous") -> O
         raise DimensionError("alphabet size must be an integer")
     if n < 3:
         raise DimensionError("family optimization needs an alphabet of size >= 3")
+    if n >= 2 ** 53:
+        raise DimensionError("family optimization needs an alphabet of size < 2**53")
     if mode not in ("continuous", "integer"):
         raise RangeError(f"unknown optimization mode {mode!r}")
+    if mode == "integer" and n > 2 ** 16:  # one ascent per group count: 2**16 takes seconds
+        raise RangeError(f"integer mode takes n <= 2**16, got {n}")
 
-    code = kind.kernel_code
     w_lo, w_hi = _omega_band(kind, n)
 
     if mode == "continuous":
@@ -153,17 +156,17 @@ def maximize_family(kind: ComplexityKind, n: int, mode: str = "continuous") -> O
         ws = grid[(grid >= w_lo) & (grid <= w_hi)]
         ws = np.unique(np.concatenate([ws, [w_lo, w_hi]]))
         ps = np.arange(_COARSE + 1) / _COARSE
-        surf = np.asarray(kernels.family_c_grid(code, float(n), ws, ps))
+        surf = np.asarray(kernels.family_c_grid(kind, float(n), ws, ps))
         i, j = divmod(int(np.argmax(surf)), ps.size)
-        omega, p_max, c = _ascend(code, n, float(ws[i]), float(ps[j]), w_lo, w_hi, 1.0 / _COARSE)
+        omega, p_max, c = _ascend(kind, n, float(ws[i]), float(ps[j]), w_lo, w_hi, 1.0 / _COARSE)
     else:
         ws = np.arange(1, n, dtype=np.int64) / float(n)
         ps_coarse = np.arange(17) / 16.0
-        surf = np.asarray(kernels.family_c_grid(code, float(n), ws, ps_coarse))
+        surf = np.asarray(kernels.family_c_grid(kind, float(n), ws, ps_coarse))
         best = None
         for row, w in enumerate(ws.tolist()):
             j = int(np.argmax(surf[row]))
-            _, p_k, c_k = _ascend(code, n, w, float(ps_coarse[j]), w, w, 1.0 / 16.0)
+            _, p_k, c_k = _ascend(kind, n, w, float(ps_coarse[j]), w, w, 1.0 / 16.0)
             key = (-c_k, w, p_k)
             if best is None or key < best[0]:
                 best = (key, w, p_k, c_k)
@@ -171,7 +174,7 @@ def maximize_family(kind: ComplexityKind, n: int, mode: str = "continuous") -> O
 
     if p_max < 0.5:
         omega, p_max = 1.0 - omega, 1.0 - p_max
-        c = _c_at(code, n, omega, p_max)
+        c = _c_at(kind, n, omega, p_max)
     return OptimumRecord(kind=kind, n=int(n), c_star=c, p_max_star=p_max,
                          omega_star=omega, mode=mode)
 

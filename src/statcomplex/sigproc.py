@@ -27,10 +27,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .complexity import ComplexityKind
 from .dist import DiscreteDistribution, uniform
 from .errors import AliasingError, DataShapeError, RangeError
+from .kernels import rows_c
 from .optimize import threshold as complexity_threshold
 from .rows import round6, write_rows
 
 TWO_PI = 2.0 * math.pi
+# Largest record, in samples, that a config may describe (512 MiB of float64).
+_MAX_SAMPLES = 2 ** 26
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,9 @@ class SignalConfig:
         object.__setattr__(self, "sample_rate", int(sr))
         if not self.duration > 0.0:
             raise RangeError("duration must be positive")
+        if not self.sample_rate * self.duration <= _MAX_SAMPLES:
+            raise RangeError(f"record of {self.sample_rate * self.duration:.6g} samples "
+                             f"exceeds the cap of {_MAX_SAMPLES} samples")
         if self.noise_sigma < 0.0:
             raise RangeError("noise level must be >= 0")
         object.__setattr__(self, "components", tuple(self.components))
@@ -261,7 +267,6 @@ class WindowSeries:
 
 # Windows per batch: bounds the working set at a few (chunk x N) arrays.
 _CHUNK_WINDOWS = 128
-_TINY = np.finfo(np.float64).tiny
 
 
 def _check_record(samples, window_length) -> np.ndarray:
@@ -312,40 +317,15 @@ def _mirror_sum(t: np.ndarray) -> np.ndarray:
 def _batch_complexity(frames: np.ndarray, kind: ComplexityKind) -> np.ndarray:
     """C of each row of `frames` over its normalized two-sided power spectrum.
 
-    Matches `complexity_value(spectrum_distribution(row), kind)`, including
-    its clips, with all-zero rows at exactly 0.  Updates run in place on
-    two (rows x N/2 + 1) arrays: a fresh temporary per step costs more in
-    page faults than the arithmetic does.
+    Matches `complexity_value(spectrum_distribution(row), kind)`, with
+    all-zero rows at exactly 0.
     """
-    n = frames.shape[1]
-    log_n = math.log(n)
-    u = 1.0 / n
     p = np.abs(np.fft.rfft(frames, axis=1))
     p *= p
     total = _mirror_sum(p)
     zero = total == 0.0
     p /= np.where(zero, 1.0, total)[:, None]
-    # p ln p with 0 ln 0 = 0; terms below the smallest normal float are negligible
-    t = np.maximum(p, _TINY)
-    np.log(t, out=t)
-    t *= p
-    h_nats = -_mirror_sum(t)
-    if kind is ComplexityKind.SQ:
-        np.subtract(p, u, out=t)
-        t *= t
-        d = _mirror_sum(t)
-    elif kind is ComplexityKind.TV:
-        np.subtract(p, u, out=t)
-        np.abs(t, out=t)
-        d = (0.5 * _mirror_sum(t)) ** 2
-    else:
-        m = p  # the mixture (p + u) / 2 >= u / 2 > 0
-        m += u
-        m *= 0.5
-        np.log(m, out=t)
-        t *= m
-        d = np.maximum(-_mirror_sum(t) - 0.5 * (h_nats + log_n), 0.0) / math.log(2.0)
-    c = np.clip(h_nats / log_n, 0.0, 1.0) * d
+    c = rows_c(kind, p, frames.shape[1], _mirror_sum)
     c[zero] = 0.0
     return c
 

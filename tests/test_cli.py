@@ -89,6 +89,21 @@ def test_grid_n_below_2_exit_3(tmp_path, capsys):
     assert not (tmp_path / "grid.csv").exists()
 
 
+def test_huge_alphabet_sizes_exit_3(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    assert main(["tables", "--sizes", huge, "--out-dir", str(tmp_path)]) == 3
+    assert main(["grid", "--kind", "tv", "--n", huge, "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.count("error:") == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tables_integer_mode_size_cap_exit_3(tmp_path, capsys):
+    assert main(["tables", "--mode", "integer", "--sizes", "65537",
+                 "--out-dir", str(tmp_path)]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "tables.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -140,6 +155,16 @@ def test_synth_config_errors(tmp_path):
     assert main(["synth", "--config", str(bad), *out]) == 3  # above Nyquist
 
     assert main(["synth", "--config", str(tmp_path / "missing.json"), *out]) == 2
+
+
+def test_synth_record_length_cap_exit_3(tmp_path, capsys):
+    out = ["--out-dir", str(tmp_path)]
+    assert main(["synth", "--duration", "inf", *out]) == 3
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"sample_rate": 8192, "duration": 1e9}))
+    assert main(["synth", "--config", str(big), *out]) == 3
+    assert capsys.readouterr().err.count("exceeds the cap of 67108864 samples") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
 
 # ---------------------------------------------------------------------------

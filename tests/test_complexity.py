@@ -206,6 +206,14 @@ def test_family_surface_rejects_n_below_2():
             family_surface(ComplexityKind.TV, n, [0.5], [0.5])
 
 
+def test_family_surface_rejects_n_beyond_float_integers():
+    with pytest.raises(DimensionError, match="2\\*\\*53"):
+        family_surface(ComplexityKind.TV, 2 ** 53, [0.5], [0.5])
+    for kind in KINDS:
+        surf = family_surface(kind, 2 ** 53 - 1, [0.25, 0.5], [0.0, 0.5, 1.0])
+        assert np.all(np.isfinite(surf))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_simplex3_surface_matches_direct_functional(kind):
     m = 12

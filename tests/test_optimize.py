@@ -95,6 +95,18 @@ def test_maximize_family_validation():
         maximize_family(SQ, 16, mode="annealed")
 
 
+def test_maximize_family_size_caps():
+    with pytest.raises(DimensionError, match="2\\*\\*53"):
+        maximize_family(TV, 2 ** 53)
+    with pytest.raises(DimensionError):
+        maximize_family(TV, 10 ** 400)  # beyond float range: no OverflowError
+    for kind in (SQ, JSD, TV):
+        r = maximize_family(kind, 2 ** 53 - 1)
+        assert r.n == 2 ** 53 - 1 and 0.0 < r.c_star < 1.0
+    with pytest.raises(RangeError, match="65537"):
+        maximize_family(TV, 2 ** 16 + 1, mode="integer")
+
+
 def test_monotone_trends():
     ns = (256, 512, 1024, 2048)
     sq = [maximize_family(SQ, n).c_star for n in ns]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,15 @@ def test_config_validation():
         SignalConfig(sample_rate=8000.5, duration=1.0)
     with pytest.raises(RangeError):
         HarmonicComponent(1.0, -10.0)
+
+
+def test_config_record_length_cap():
+    assert SignalConfig(sample_rate=8192, duration=2 ** 26 / 8192).n_samples == 2 ** 26
+    for duration, count in ((2 ** 26 / 8192 + 1.0, "6.71171e+07"), (1e9, "8.192e+12"),
+                            (math.inf, "inf")):
+        message = f"record of {count} samples exceeds the cap of {2 ** 26} samples"
+        with pytest.raises(RangeError, match=re.escape(message)):
+            SignalConfig(sample_rate=8192, duration=duration)
 
 
 def test_config_defaults_and_properties():
