@@ -8,7 +8,8 @@ family_hdc(kind, n, omega, p_max)
     Closed-form (entropy factor, disequilibrium, complexity) of one
     two-level family point.  Continuous omega permitted.
 family_c_grid(kind, n, omegas, p_maxes)
-    Complexity surface over an (omega, p_max) grid.
+    Complexity surface over an (omega, p_max) grid: the same closed form
+    in separable terms, with no 2-d log for sq and tv and two for jsd.
 simplex3_c_grid(kind, m)
     Complexity surface over the 3-state simplex lattice {(i/m, j/m)}.
 
@@ -106,24 +107,58 @@ def family_hdc(kind: ComplexityKind, n: float, omega: float, p_max: float):
     return h, d, h * d
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x with 0 ln 0 = 0."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
 def family_c_grid(kind: ComplexityKind, n: float, omegas: np.ndarray, p_maxes: np.ndarray) -> np.ndarray:
+    """C of `family_hdc` over the outer grid omegas x p_maxes, in separable form.
+
+    With l1 = ln w and l2 = ln(1 - w), the entropy factor is
+    h = 1 + [l1 + p (l2 - l1) - xlx(1 - p) - xlx(p)] / ln n: one outer
+    product and two broadcast 1-d terms, no 2-d log.  sq and tv multiply h
+    by u**2 with u = (w + p) - 1, which is exactly 0 wherever w + p == 1 in
+    float.  The Jensen-Shannon divergence is xlx(w) + xlx(1 - w) + xlx(p)
+    + xlx(1 - p), halved, less xlx(a) + xlx(b) for the mixture masses
+    a = (1 - p + w) / 2 and b = 1 - a: the only 2-d logs.  It is set to 0
+    on the line w + p == 1.
+    """
     w = np.asarray(omegas, dtype=np.float64)[:, None]
     p = np.asarray(p_maxes, dtype=np.float64)[None, :]
     ln_n = math.log(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_low = np.where(p < 1.0, (1.0 - p) * np.log((1.0 - p) / w), 0.0)
-        t_high = np.where(p > 0.0, p * np.log(p / (1.0 - w)), 0.0)
-    h = 1.0 - (t_low + t_high) / ln_n
-    if kind is ComplexityKind.SQ:
-        d = (p + w - 1.0) ** 2 / (n * w * (1.0 - w))
-    elif kind is ComplexityKind.TV:
-        d = np.broadcast_to((p + w - 1.0) ** 2, h.shape)
+    l1 = np.log(w)
+    l2 = np.log(1.0 - w)
+    q = _xlogx(1.0 - p) + _xlogx(p)
+    # ln n * (1 - h), the divergence from uniform in nats
+    kl = (l1 - l2) * p
+    kl -= l1
+    kl += q
+    if kind is ComplexityKind.JSD:
+        # by groups: the entropy of the mixture (masses a, b = 1 - a) less the
+        # mean of those of the point (1 - p, p) and of uniform (w, 1 - w)
+        a = 1.0 - p + w
+        a *= 0.5
+        b = 1.0 - a
+        d = 0.5 * (_xlogx(w) + _xlogx(1.0 - w)) + 0.5 * q
+        t = np.log(a)
+        t *= a
+        d -= t
+        np.log(b, out=t)
+        t *= b
+        d -= t
+        d /= _LN2
+        d[w + p == 1.0] = 0.0
     else:
-        a = 0.5 * (1.0 - p + w)
-        b = 0.5 * (1.0 + p - w)
-        h_mix = 1.0 - (a * np.log(a / w) + b * np.log(b / (1.0 - w))) / ln_n
-        d = (h_mix - 0.5 * (h + 1.0)) * ln_n / _LN2
-    return h * d
+        d = w + p
+        d -= 1.0
+        d *= d
+        if kind is ComplexityKind.SQ:
+            d /= n * w * (1.0 - w)
+    kl /= ln_n
+    h = np.subtract(1.0, kl, out=kl)
+    h *= d
+    return h
 
 
 def simplex3_c_grid(kind: ComplexityKind, m: int) -> np.ndarray:

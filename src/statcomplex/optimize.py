@@ -3,7 +3,8 @@
 The two-level family C(omega, p_max) is exactly symmetric under the twin
 map (omega, p_max) -> (1 - omega, 1 - p_max): it is the same distribution
 with the group roles swapped.  Every optimum therefore comes in a mirror
-pair; results are reported on the p_max >= 1/2 branch.
+pair; results are reported on the p_max >= 1/2 branch, and the continuous
+coarse search grids that branch only.
 
 The squared-distance kind is special: its closed form is unbounded as
 omega approaches 0 or 1 (vanishing group size amplifies the per-cell
@@ -132,11 +133,17 @@ def _ascend(kind, n, omega, p_max, w_lo, w_hi, step0):
 def maximize_family(kind: ComplexityKind, n: int, mode: str = "continuous") -> OptimumRecord:
     """Global maximum of the family complexity surface for alphabet size n.
 
-    Continuous mode treats omega as a real parameter (coarse grid plus
-    coordinate ascent); integer mode scans every group count k in
-    [1, n - 1] and refines p_max for each.  Ties are broken toward the
-    smaller omega, then smaller p_max, before the result is mapped onto
-    the p_max >= 1/2 twin branch.
+    Continuous mode treats omega as a real parameter: a coarse grid over
+    the p_max >= 1/2 twin branch, which holds a twin of every cell of the
+    full grid since the omega band is symmetric, then coordinate ascent.
+    (For sq above n ~ 1e10 the band edge 1 - 1/n rounds in float, so there
+    the branches no longer mirror each other exactly; this branch is the
+    reported one.)
+    Integer mode scans every group count k in [1, n - 1] and refines p_max
+    for each.  Ties are broken toward the smaller omega, then smaller
+    p_max: among the branch's grid cells in continuous mode, among the
+    refined optima in integer mode.  The result is mapped onto the
+    p_max >= 1/2 twin branch.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DimensionError("alphabet size must be an integer")
@@ -155,7 +162,7 @@ def maximize_family(kind: ComplexityKind, n: int, mode: str = "continuous") -> O
         grid = np.arange(1, _COARSE) / _COARSE
         ws = grid[(grid >= w_lo) & (grid <= w_hi)]
         ws = np.unique(np.concatenate([ws, [w_lo, w_hi]]))
-        ps = np.arange(_COARSE + 1) / _COARSE
+        ps = np.arange(_COARSE // 2, _COARSE + 1) / _COARSE  # one twin branch
         surf = np.asarray(kernels.family_c_grid(kind, float(n), ws, ps))
         i, j = divmod(int(np.argmax(surf)), ps.size)
         omega, p_max, c = _ascend(kind, n, float(ws[i]), float(ps[j]), w_lo, w_hi, 1.0 / _COARSE)

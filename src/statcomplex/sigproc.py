@@ -34,6 +34,17 @@ from .rows import round6, write_rows
 TWO_PI = 2.0 * math.pi
 # Largest record, in samples, that a config may describe (512 MiB of float64).
 _MAX_SAMPLES = 2 ** 26
+# Sample rates must be exact float64 integers: the config arithmetic is in floats.
+_MAX_SAMPLE_RATE = 2 ** 53
+
+
+def _check_sample_rate(sr) -> None:
+    if not (isinstance(sr, (int, np.integer)) or float(sr).is_integer()):
+        raise RangeError("sample rate must be an integer number of Hz")
+    if not sr > 0:
+        raise RangeError("sample rate must be positive")
+    if not sr < _MAX_SAMPLE_RATE:
+        raise RangeError("sample rate must be below 2**53 Hz")
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +93,8 @@ class SignalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        sr = self.sample_rate
-        if not (isinstance(sr, (int, np.integer)) or float(sr).is_integer()):
-            raise RangeError("sample rate must be an integer number of Hz")
-        if not sr > 0:
-            raise RangeError("sample rate must be positive")
-        object.__setattr__(self, "sample_rate", int(sr))
+        _check_sample_rate(self.sample_rate)
+        object.__setattr__(self, "sample_rate", int(self.sample_rate))
         if not self.duration > 0.0:
             raise RangeError("duration must be positive")
         if not self.sample_rate * self.duration <= _MAX_SAMPLES:
@@ -170,6 +177,7 @@ def reference_config(n_components: int, seed: int = 0, sample_rate: int = 8192,
     """
     if n_components < 0:
         raise RangeError("number of components must be >= 0")
+    _check_sample_rate(sample_rate)
     if window_length < 64 or window_length & (window_length - 1):
         raise RangeError("window length must be a power of two >= 64")
     rng = np.random.default_rng([seed, 0])
@@ -179,7 +187,7 @@ def reference_config(n_components: int, seed: int = 0, sample_rate: int = 8192,
     bins = np.sort(rng.choice(np.arange(lo, hi + 1), size=n_components, replace=False))
     phases = rng.uniform(0.0, TWO_PI, size=n_components)
     comps = tuple(
-        HarmonicComponent(amplitude=amplitude, frequency=b * sample_rate / window_length,
+        HarmonicComponent(amplitude=amplitude, frequency=int(b) * sample_rate / window_length,
                           phase=ph)
         for b, ph in zip(bins, phases)
     )

@@ -167,6 +167,16 @@ def test_synth_record_length_cap_exit_3(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
 
+def test_synth_huge_sample_rate_exit_3(tmp_path, capsys):
+    out = ["--out-dir", str(tmp_path)]
+    assert main(["synth", "--sample-rate", str(2 ** 64), *out]) == 3
+    big = tmp_path / "big.json"
+    big.write_text('{"sample_rate": 1' + "0" * 400 + ', "duration": 1.0}')
+    assert main(["synth", "--config", str(big), *out]) == 3
+    assert capsys.readouterr().err.count("error: sample rate must be below 2**53 Hz") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
 # ---------------------------------------------------------------------------
 # detect
 # ---------------------------------------------------------------------------

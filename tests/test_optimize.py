@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from statcomplex import kernels, optimize
 from statcomplex import (
     ComplexityKind,
     DimensionError,
@@ -53,6 +54,35 @@ def test_reported_branch_is_upper():
         for n in (3, 256):
             r = maximize_family(kind, n)
             assert r.p_max_star >= 0.5
+
+
+def _both_branch_search(kind, n):
+    """The coarse search over both twin branches, then the solver's own ascent."""
+    w_lo, w_hi = optimize._omega_band(kind, n)
+    coarse = np.arange(1, optimize._COARSE) / optimize._COARSE
+    ws = np.unique(np.concatenate([coarse[(coarse >= w_lo) & (coarse <= w_hi)], [w_lo, w_hi]]))
+    ps = np.arange(optimize._COARSE + 1) / optimize._COARSE
+    surf = kernels.family_c_grid(kind, float(n), ws, ps)
+    i, j = np.unravel_index(np.argmax(surf), surf.shape)
+    omega, p_max, c = optimize._ascend(kind, n, float(ws[i]), float(ps[j]), w_lo, w_hi,
+                                       1.0 / optimize._COARSE)
+    if p_max < 0.5:
+        omega, p_max = 1.0 - omega, 1.0 - p_max
+        c = optimize._c_at(kind, n, omega, p_max)
+    return surf.max(), (c, p_max, omega)
+
+
+def test_twin_branch_search_misses_no_coarse_cell():
+    # the coarse search covers p_max >= 1/2 only; its optimum must top every
+    # cell of the full coarse grid and equal the search over both branches
+    rng = np.random.default_rng(5)
+    sizes = (3, 256, 2048, *(int(n) for n in rng.integers(4, 2 ** 20, 4)))
+    for kind in (SQ, JSD, TV):
+        for n in sizes:
+            r = maximize_family(kind, n)
+            grid_max, both = _both_branch_search(kind, n)
+            assert r.c_star >= grid_max, (kind, n)
+            assert (r.c_star, r.p_max_star, r.omega_star) == both, (kind, n)
 
 
 def test_optimum_is_locally_maximal():
