@@ -2,8 +2,8 @@
 
 Subcommands: tables (optimum tables), grid (surface grids), synth
 (signal synthesis), detect (windowed detection), demo (canned
-experiments).  Global flags --seed, --out-dir and --format are accepted
-by every subcommand.
+experiments).  Every subcommand takes --out-dir; synth and demo take
+--seed; tables and grid take --format.
 
 Exit codes: 0 success, 2 I/O failure, 3 configuration error (bad flags,
 unparseable or inconsistent config), 4 data-shape error (bad input
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -24,13 +25,12 @@ import numpy as np
 from .complexity import (ComplexityKind, write_family_grid_csv,
                          write_simplex_grid_csv)
 from .errors import DataShapeError, RangeError
-from .optimize import build_optimum_table, threshold, write_table_csv
-from .rows import round6
+from .optimize import _TABLE_SIZES, build_optimum_table, threshold, write_table_csv
+from .rows import round6, write_json
 from .sigproc import (WINDOW_OFF, WINDOW_ON, SignalConfig, detect,
                       read_samples, reference_config, synthesize,
                       write_report_json, write_samples, write_series_csv)
 
-_TABLE_DEFAULT_SIZES = "3,256,512,1024,2048"
 _DEMO_EXPERIMENTS = {"k3": 3, "k30": 30}
 
 
@@ -84,16 +84,17 @@ def cmd_grid(args) -> int:
         raise RangeError("grid step must lie in [1e-4, 1e-1]")
     m = int(round(1.0 / args.step))
     kind = ComplexityKind.parse(args.kind)
+    n = args.n if args.n is not None else (3 if args.simplex else 1024)
     out = _out_dir(args) / f"grid.{args.format}"
     if args.simplex:
-        if args.n != 3:
+        if n != 3:
             raise RangeError("the simplex grid is defined for n = 3 only")
         write_simplex_grid_csv(out, kind, m)
         n_rows = (m + 1) * (m + 2) // 2
     else:
         omegas = np.arange(1, m) / m
         p_maxes = np.arange(0, m + 1) / m
-        write_family_grid_csv(out, kind, args.n, omegas, p_maxes)
+        write_family_grid_csv(out, kind, n, omegas, p_maxes)
         n_rows = omegas.size * p_maxes.size
     print(f"wrote {out} ({n_rows} rows)")
     return 0
@@ -115,9 +116,7 @@ def cmd_synth(args) -> int:
     sample_path = Path(args.output) if args.output else out_dir / "samples.f64"
     write_samples(sample_path, x, cfg.sample_rate)
     config_path = out_dir / "config.json"
-    with open(config_path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(config_path, cfg.to_dict())
     snr = cfg.effective_snr
     print(f"effective SNR: {'inf' if math.isinf(snr) else format(snr, '.6g')}")
     print(f"wrote {sample_path} ({x.size} samples)")
@@ -207,9 +206,7 @@ def cmd_demo(args) -> int:
     summary["mean_off_interval_c"] = {
         k: round6(v / len(seeds)) for k, v in sums_off.items()}
     summary_path = out_dir / "summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(summary_path, summary)
     for path in written:
         print(f"wrote {path}")
     print(f"wrote {summary_path}")
@@ -220,39 +217,46 @@ def cmd_demo(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# Built once per process.  Every default must stay immutable (or None),
+# so that no call can leave state behind for the next one.
+@functools.cache
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    out = _Parser(add_help=False)
+    out.add_argument("--out-dir", default=".",
+                     help="directory for output artifacts (default: .)")
+    seeded = _Parser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=None,
                         help="run seed (overrides any config-file seed)")
-    common.add_argument("--out-dir", default=".",
-                        help="directory for output artifacts (default: .)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="tabular output format (default: csv)")
+    tabular = _Parser(add_help=False, parents=[out])
+    tabular.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="tabular output format (default: csv)")
 
     parser = _Parser(prog="statcomplex",
                      description="Statistical-complexity analysis and detection.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tables", parents=[common],
+    p = sub.add_parser("tables", parents=[tabular],
                        help="optimum tables per complexity kind and alphabet size")
-    p.add_argument("--kinds", type=_kind_list, default=list(ComplexityKind),
+    p.add_argument("--kinds", type=_kind_list, default=None,
                    help="comma-separated subset of sq,jsd,tv (default: all)")
-    p.add_argument("--sizes", type=_int_list, default=_int_list(_TABLE_DEFAULT_SIZES),
-                   help=f"comma-separated alphabet sizes (default: {_TABLE_DEFAULT_SIZES})")
+    p.add_argument("--sizes", type=_int_list, default=_TABLE_SIZES,
+                   help="comma-separated alphabet sizes "
+                        f"(default: {','.join(map(str, _TABLE_SIZES))})")
     p.add_argument("--mode", choices=("continuous", "integer"), default="continuous")
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("grid", parents=[common],
+    p = sub.add_parser("grid", parents=[tabular],
                        help="complexity surface grid over the family or the 3-simplex")
     p.add_argument("--kind", required=True, help="one of sq, jsd, tv")
-    p.add_argument("--n", type=int, default=1024, help="alphabet size (default: 1024)")
+    p.add_argument("--n", type=int, default=None,
+                   help="alphabet size (default: 1024, or 3 with --simplex)")
     p.add_argument("--step", type=float, default=0.01,
                    help="grid step in [1e-4, 1e-1] (default: 0.01)")
     p.add_argument("--simplex", action="store_true",
-                   help="grid over the 3-state simplex instead (requires --n 3)")
+                   help="grid over the 3-state simplex instead")
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth", parents=[seeded],
                        help="synthesize a burst record and write samples plus config echo")
     p.add_argument("--config", default=None,
                    help="JSON signal config; omit to build a randomized reference config")
@@ -271,7 +275,7 @@ def _build_parser() -> _Parser:
                         "(.csv/.wav/.raw/.bin/.f64); default OUT_DIR/samples.f64")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("detect", parents=[common],
+    p = sub.add_parser("detect", parents=[out],
                        help="windowed complexity detection over a sample file")
     p.add_argument("--input", required=True, help="sample file (.csv/.wav/.raw/.bin/.f64)")
     p.add_argument("--config", required=True,
@@ -284,19 +288,18 @@ def _build_parser() -> _Parser:
                    help="embed per-window distributions in the JSON report")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("demo", parents=[common],
+    p = sub.add_parser("demo", parents=[seeded],
                        help="canned detection experiments with all three kinds")
     p.add_argument("--experiment", choices=sorted(_DEMO_EXPERIMENTS), default="k3")
     p.add_argument("--seeds", type=int, nargs="+", default=None,
-                   help="seeds to run (default: the global --seed, else 0)")
+                   help="seeds to run (default: --seed, else 0)")
     p.set_defaults(func=cmd_demo)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

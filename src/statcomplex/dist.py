@@ -4,20 +4,15 @@ A distribution here is a plain vector of probabilities over n >= 2 states.
 The spike family splits the states into a "low" group of k entries sharing
 mass 1 - p_max and a "high" group of n - k entries sharing mass p_max; the
 group fraction omega = k/n.  Low-group entries always come first.
-
-Distributions serialize to a single-column CSV (header ``p``) and to JSON
-arrays.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DataShapeError,
     DegenerateInputError,
     DimensionError,
     FamilyError,
@@ -66,32 +61,6 @@ class DiscreteDistribution:
 
     def __len__(self) -> int:
         return self.n
-
-    # -- serialization -----------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        """Write the vector as a single-column CSV with header ``p``."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("p\n")
-            for v in self.probs:
-                fh.write(f"{float(v)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "DiscreteDistribution":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "p":
-                raise DataShapeError(f"expected CSV header 'p', got {header!r}")
-            vals = [float(line) for line in fh if line.strip()]
-        return cls(np.asarray(vals))
-
-    def to_json(self) -> str:
-        """JSON array of probabilities."""
-        return json.dumps(list(map(float, self.probs)))
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteDistribution":
-        return cls(np.asarray(json.loads(text), dtype=np.float64))
 
 
 @dataclass(frozen=True)

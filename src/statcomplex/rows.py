@@ -1,4 +1,5 @@
-"""Table output: one writer for the CSV and JSON tables the package emits.
+"""File output: one writer for the CSV and JSON tables the package emits,
+and one for its JSON documents (reports, configs, summaries).
 
 Rows are tuples in header order.  CSV writes floats with 6 significant
 digits; JSON writes a list of objects whose floats are rounded to the
@@ -15,6 +16,13 @@ from pathlib import Path
 def round6(value: float) -> float:
     """`value` rounded to 6 significant digits, as the CSV tables print it."""
     return float(f"{value:.6g}")
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` to `path` as `json.dump(obj, indent=2)` plus a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _json_float(value: float) -> str:

@@ -15,7 +15,6 @@ can be re-noised and vice versa.
 
 from __future__ import annotations
 
-import json
 import math
 import wave
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from .dist import DiscreteDistribution, uniform
 from .errors import AliasingError, DataShapeError, RangeError
 from .kernels import rows_c
 from .optimize import threshold as complexity_threshold
-from .rows import round6, write_rows
+from .rows import round6, write_json, write_rows
 
 TWO_PI = 2.0 * math.pi
 # Largest record, in samples, that a config may describe (512 MiB of float64).
@@ -565,6 +564,4 @@ def report_to_dict(report: DetectionReport, include_distributions: bool = False)
 
 def write_report_json(path, report: DetectionReport,
                       include_distributions: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report, include_distributions), fh, indent=2)
-        fh.write("\n")
+    write_json(path, report_to_dict(report, include_distributions))

@@ -37,6 +37,10 @@ def test_tables_json_and_subsets(tmp_path):
     assert [r["n"] for r in rows] == [3, 256]
     assert rows[0]["kind"] == "sq"
     assert rows[0]["c_star"] == pytest.approx(0.193239, abs=1e-6)
+    # the parser is built once per process: the --kinds above must not stick
+    assert main(["tables", "--sizes", "3", "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "tables.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["sq", "jsd", "tv"]
 
 
 def test_tables_integer_mode(tmp_path):
@@ -64,6 +68,15 @@ def test_grid_simplex(tmp_path):
     lines = (tmp_path / "grid.csv").read_text().strip().splitlines()
     m = 50
     assert len(lines) == 1 + (m + 1) * (m + 2) // 2
+    # --simplex implies n = 3
+    implied, explicit = tmp_path / "implied", tmp_path / "explicit"
+    assert main(["grid", "--kind", "sq", "--simplex", "--step", "0.05",
+                 "--out-dir", str(implied)]) == 0
+    assert main(["grid", "--kind", "sq", "--simplex", "--n", "3", "--step", "0.05",
+                 "--out-dir", str(explicit)]) == 0
+    data = (implied / "grid.csv").read_bytes()
+    assert data.count(b"\n") == 1 + 231
+    assert data == (explicit / "grid.csv").read_bytes()
 
 
 def test_grid_json_format(tmp_path):
@@ -298,16 +311,23 @@ def test_demo_k30_degrades_sq(tmp_path):
 # parser-level failures and module entry
 # ---------------------------------------------------------------------------
 
-def test_usage_errors_exit_3():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 3
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 3
-    with pytest.raises(SystemExit) as exc:
-        main(["tables", "--mode", "psychic"])
-    assert exc.value.code == 3
+def test_usage_errors_exit_3(tmp_path, capsys):
+    out = ["--out-dir", str(tmp_path)]
+    detect = ["detect", "--input", "x.f64", "--config", "c.json"]
+    # --format is taken only by tables and grid, --seed only by synth and demo
+    unscoped = ([*detect, "--format", "json"], [*detect, "--seed", "1"],
+                ["tables", "--seed", "1"], ["grid", "--kind", "sq", "--seed", "1"],
+                ["synth", "--format", "json"], ["demo", "--format", "json"])
+    for argv in (["frobnicate"], [], ["tables", "--mode", "psychic"], *unscoped):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *out])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        if argv in unscoped:
+            assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    assert list(tmp_path.iterdir()) == []
+    # a usage error leaves the shared parser fit for the next call
+    assert main(["tables", "--sizes", "3", *out]) == 0
 
 
 def test_module_entry_point(tmp_path):

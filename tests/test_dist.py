@@ -7,7 +7,6 @@ from statcomplex import (
     DiscreteDistribution,
     FamilyError,
     FamilyPoint,
-    DataShapeError,
     RangeError,
     normalize,
     spike_family,
@@ -122,24 +121,3 @@ def test_normalize_idempotent():
         once = normalize(w).probs
         twice = normalize(once).probs
         assert np.max(np.abs(once - twice)) < 1e-12
-
-
-def test_csv_roundtrip(tmp_path):
-    d = normalize(np.random.default_rng(3).random(17))
-    path = tmp_path / "d.csv"
-    d.to_csv(path)
-    back = DiscreteDistribution.from_csv(path)
-    assert np.array_equal(back.probs, d.probs), "CSV roundtrip must be exact (repr floats)"
-
-
-def test_csv_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("prob\n0.5\n0.5\n")
-    with pytest.raises(DataShapeError):
-        DiscreteDistribution.from_csv(path)
-
-
-def test_json_roundtrip():
-    d = normalize([1, 2, 3, 4])
-    back = DiscreteDistribution.from_json(d.to_json())
-    assert np.array_equal(back.probs, d.probs)

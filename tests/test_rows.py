@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from statcomplex.rows import round6, write_rows
+from statcomplex.rows import round6, write_json, write_rows
 
 HEADER = ("kind", "n", "c", "flag")
 ROWS = [("sq", 3, 0.19323943583345649, True), ("tv", 2048, 1.0 / 3.0, False),
@@ -37,3 +37,9 @@ def test_empty_rows(tmp_path):
     write_rows(tmp_path / "rows.csv", HEADER, [])
     assert (tmp_path / "rows.json").read_text() == "[]\n"
     assert (tmp_path / "rows.csv").read_text() == "kind,n,c,flag\n"
+
+
+def test_write_json_matches_json_dump(tmp_path):
+    obj = {"c": [0.1, math.nan, -math.inf], "kind": "tv", "n": 3, "rows": [{"x": None}]}
+    write_json(tmp_path / "doc.json", obj)
+    assert (tmp_path / "doc.json").read_text() == json.dumps(obj, indent=2) + "\n"
