@@ -42,12 +42,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+def _nonempty(items: list) -> list:
+    if not items:
+        raise argparse.ArgumentTypeError("expected at least one comma-separated value")
+    return items
+
+
 def _int_list(text: str):
-    return [int(v) for v in text.split(",") if v]
+    return _nonempty([int(v) for v in text.split(",") if v])
 
 
 def _kind_list(text: str):
-    return [ComplexityKind.parse(v) for v in text.split(",") if v]
+    return _nonempty([ComplexityKind.parse(v) for v in text.split(",") if v])
 
 
 def _out_dir(args) -> Path:
@@ -155,10 +161,8 @@ def cmd_demo(args) -> int:
     n_components = _DEMO_EXPERIMENTS[args.experiment]
     if args.seeds is not None:
         seeds = list(args.seeds)
-    elif args.seed is not None:
-        seeds = [args.seed]
     else:
-        seeds = [0]
+        seeds = [0 if args.seed is None else args.seed]
     window_length = 2048
     fraction = 0.25
     out_dir = _out_dir(args)
@@ -224,9 +228,6 @@ def _build_parser() -> _Parser:
     out = _Parser(add_help=False)
     out.add_argument("--out-dir", default=".",
                      help="directory for output artifacts (default: .)")
-    seeded = _Parser(add_help=False, parents=[out])
-    seeded.add_argument("--seed", type=int, default=None,
-                        help="run seed (overrides any config-file seed)")
     tabular = _Parser(add_help=False, parents=[out])
     tabular.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="tabular output format (default: csv)")
@@ -256,8 +257,10 @@ def _build_parser() -> _Parser:
                    help="grid over the 3-state simplex instead")
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("synth", parents=[seeded],
+    p = sub.add_parser("synth", parents=[out],
                        help="synthesize a burst record and write samples plus config echo")
+    p.add_argument("--seed", type=int, default=None,
+                   help="run seed (overrides any config-file seed)")
     p.add_argument("--config", default=None,
                    help="JSON signal config; omit to build a randomized reference config")
     p.add_argument("--components", type=int, default=3,
@@ -288,11 +291,13 @@ def _build_parser() -> _Parser:
                    help="embed per-window distributions in the JSON report")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("demo", parents=[seeded],
+    p = sub.add_parser("demo", parents=[out],
                        help="canned detection experiments with all three kinds")
     p.add_argument("--experiment", choices=sorted(_DEMO_EXPERIMENTS), default="k3")
-    p.add_argument("--seeds", type=int, nargs="+", default=None,
-                   help="seeds to run (default: --seed, else 0)")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=None, help="run seed (default: 0)")
+    seeds.add_argument("--seeds", type=int, nargs="+", default=None,
+                       help="seeds to run (default: --seed, else 0)")
     p.set_defaults(func=cmd_demo)
 
     return parser

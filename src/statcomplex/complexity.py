@@ -95,7 +95,7 @@ def family_surface(kind: ComplexityKind, n: int, omegas, p_maxes) -> np.ndarray:
         raise FamilyError("omega grid values must lie strictly inside (0, 1)")
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise RangeError("p_max grid values must lie in [0, 1]")
-    return np.asarray(kernels.family_c_grid(kind, float(n), w, p))
+    return np.asarray(kernels.family_c_grid(kind, float(n), w[:, None], p[None, :]))
 
 
 def simplex3_surface(kind: ComplexityKind, m: int) -> np.ndarray:

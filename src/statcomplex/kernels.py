@@ -8,8 +8,9 @@ family_hdc(kind, n, omega, p_max)
     Closed-form (entropy factor, disequilibrium, complexity) of one
     two-level family point.  Continuous omega permitted.
 family_c_grid(kind, n, omegas, p_maxes)
-    Complexity surface over an (omega, p_max) grid: the same closed form
-    in separable terms, with no 2-d log for sq and tv and two for jsd.
+    Complexity at broadcast (omega, p_max) pairs, an outer grid or a batch
+    of points: the same closed form in separable terms, with no 2-d log
+    for sq and tv and two for jsd.
 simplex3_c_grid(kind, m)
     Complexity surface over the 3-state simplex lattice {(i/m, j/m)}.
 
@@ -113,19 +114,21 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 
 
 def family_c_grid(kind: ComplexityKind, n: float, omegas: np.ndarray, p_maxes: np.ndarray) -> np.ndarray:
-    """C of `family_hdc` over the outer grid omegas x p_maxes, in separable form.
+    """C of `family_hdc` at the broadcast pairs of omegas and p_maxes, in separable form.
 
-    With l1 = ln w and l2 = ln(1 - w), the entropy factor is
-    h = 1 + [l1 + p (l2 - l1) - xlx(1 - p) - xlx(p)] / ln n: one outer
-    product and two broadcast 1-d terms, no 2-d log.  sq and tv multiply h
-    by u**2 with u = (w + p) - 1, which is exactly 0 wherever w + p == 1 in
-    float.  The Jensen-Shannon divergence is xlx(w) + xlx(1 - w) + xlx(p)
-    + xlx(1 - p), halved, less xlx(a) + xlx(b) for the mixture masses
-    a = (1 - p + w) / 2 and b = 1 - a: the only 2-d logs.  It is set to 0
-    on the line w + p == 1.
+    Pass omegas[:, None] and p_maxes[None, :] for the outer grid, or two
+    arrays of one shape for a batch of points; the result has their
+    broadcast shape.  With l1 = ln w and l2 = ln(1 - w), the
+    entropy factor is h = 1 + [l1 + p (l2 - l1) - xlx(1 - p) - xlx(p)] / ln n:
+    one product and terms of w or p alone, no log of a pair.  sq and tv
+    multiply h by u**2 with u = (w + p) - 1, which is exactly 0 wherever
+    w + p == 1 in float.  The Jensen-Shannon divergence is xlx(w) + xlx(1 - w)
+    + xlx(p) + xlx(1 - p), halved, less xlx(a) + xlx(b) for the mixture
+    masses a = (1 - p + w) / 2 and b = 1 - a: the only logs of a pair.  It is
+    set to 0 on the line w + p == 1.
     """
-    w = np.asarray(omegas, dtype=np.float64)[:, None]
-    p = np.asarray(p_maxes, dtype=np.float64)[None, :]
+    w = np.asarray(omegas, dtype=np.float64)
+    p = np.asarray(p_maxes, dtype=np.float64)
     ln_n = math.log(n)
     l1 = np.log(w)
     l2 = np.log(1.0 - w)

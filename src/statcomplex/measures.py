@@ -101,8 +101,11 @@ def jsd(p, q, unit: str = "bits") -> float:
     a, b = _pair(p, q)
     m = 0.5 * (a + b)
     v_nats = _neg_plogp(m) - 0.5 * (_neg_plogp(a) + _neg_plogp(b))
-    # mathematically >= 0; clip float residue from near-identical inputs
-    return max(v_nats, 0.0) * _unit_scale(unit)
+    # mathematically 0 <= v <= ln 2 * TV: each state's term is (a_i + b_i)/4
+    # times phi(t) = (1 + t) ln(1 + t) + (1 - t) ln(1 - t), t = (a_i - b_i)/(a_i + b_i),
+    # and phi, convex with phi(0) = 0 and phi(1) = 2 ln 2, lies below 2 ln 2 |t|.
+    # Clip the float residue near-identical inputs leave outside those bounds.
+    return min(max(v_nats, 0.0), LN2 * total_variation(a, b)) * _unit_scale(unit)
 
 
 def kl_divergence(p, q) -> float:

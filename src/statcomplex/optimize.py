@@ -11,6 +11,15 @@ omega approaches 0 or 1 (vanishing group size amplifies the per-cell
 deviation), so its search domain is restricted to omega in
 [1/n, 1 - 1/n], the range realizable by integer group counts.  The other
 two kinds are bounded and searched over the open interval.
+
+The maximum is solved from the structure of the surface, not searched
+for: a small grid picks the peak, and the first-order conditions at its
+best cell place it on an edge or inside.  sq peaks on the band edge
+omega = 1 - 1/n, where dC/domega is still rising; jsd on the edge
+p_max = 1, where the log singularities of h and d leave dC/dp_max -> +inf;
+tv inside, since there dC/dp_max -> -inf at p_max = 1.  An edge peak is a
+1-d golden-section search along the edge, the tv peak a Newton solve of
+the conditions `tv_residuals` evaluates.
 """
 
 from __future__ import annotations
@@ -27,9 +36,13 @@ from .dist import FamilyPoint
 from .errors import DimensionError, RangeError
 from .rows import write_rows
 
-_COARSE = 512
-_DESCENT_TOL = 1e-7
+_CELLS = 32            # coarse grid step 1/32 in omega and p_max
+_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_XTOL = 1e-12          # golden-section brackets end below this width
+_NEWTON_STEPS = 40
+_NEWTON_TOL = 1e-12    # a Newton step this small leaves an error at roundoff
 _OMEGA_CLIP = 1e-9
+_LN2 = math.log(2.0)
 
 _TABLE_SIZES = (3, 256, 512, 1024, 2048)
 
@@ -104,45 +117,230 @@ def _c_at(kind: ComplexityKind, n: int, omega: float, p_max: float) -> float:
     return kernels.family_hdc(kind, float(n), omega, p_max)[2]
 
 
-def _ascend(kind, n, omega, p_max, w_lo, w_hi, step0):
-    """Coordinate ascent with step halving; deterministic and derivative-free.
+def _slopes(kind: ComplexityKind, n: int, omega: float, p_max: float):
+    """(dC/domega, dC/dp_max) at a family point, the edge p_max = 1 included.
 
-    With w_lo == w_hi == omega every omega move is skipped, which leaves a
-    1-d ascent in p_max.
+    At p_max = 1 the p_max slope is infinite, as -ln(1 - p_max) times a
+    finite coefficient: -d / ln n from h, plus h / (2 ln 2) from the
+    Jensen-Shannon d.  It is returned as an infinity of that sign.
     """
-    c = _c_at(kind, n, omega, p_max)
-    step = step0
-    while step >= _DESCENT_TOL:
-        improved = True
-        while improved:
-            improved = False
-            for dw, dp in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                w2 = min(max(omega + dw, w_lo), w_hi)
-                p2 = min(max(p_max + dp, 0.0), 1.0)
-                if w2 == omega and p2 == p_max:
-                    continue
-                c2 = _c_at(kind, n, w2, p2)
-                if c2 > c:
-                    omega, p_max, c = w2, p2, c2
-                    improved = True
-        step *= 0.5
+    ln_n = math.log(n)
+    h, d, _ = kernels.family_hdc(kind, float(n), omega, p_max)
+    w, v, p, q = omega, 1.0 - omega, p_max, 1.0 - p_max
+    u = p + w - 1.0
+    h_w = (q / w - p / v) / ln_n
+    if kind is ComplexityKind.JSD:
+        a = 0.5 * (q + w)
+        b = 0.5 * (p + v)
+        d_w = math.log(b * w / (a * v)) / (2.0 * _LN2)
+        d_p = math.log(a * p / b) / (2.0 * _LN2)  # less ln(q) / (2 ln 2)
+        singular = h / (2.0 * _LN2) - d / ln_n
+    else:
+        scale = 1.0 if kind is ComplexityKind.TV else 1.0 / (n * w * v)
+        d_p = 2.0 * u * scale
+        d_w = d_p - (d * (1.0 - 2.0 * w) / (w * v) if kind is ComplexityKind.SQ else 0.0)
+        singular = -d / ln_n
+    c_w = h_w * d + h * d_w
+    if q <= 0.0:
+        return c_w, math.copysign(math.inf, singular)
+    if kind is ComplexityKind.JSD:
+        d_p -= math.log(q) / (2.0 * _LN2)
+    h_p = (math.log(q / w) - math.log(p / v)) / ln_n
+    return c_w, h_p * d + h * d_p
+
+
+def _golden(f, a: float, b: float):
+    """(x, f(x)) at the largest f of a golden-section search of [a, b] for one peak."""
+    x1, x2 = b - _GOLD * (b - a), a + _GOLD * (b - a)
+    f1, f2 = f(x1), f(x2)
+    best = (x1, f1) if f1 >= f2 else (x2, f2)
+    while b - a > _XTOL:
+        if f2 > f1:  # the peak lies in [x1, b]
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLD * (b - a)
+            f2 = f(x2)
+            if f2 > best[1]:
+                best = (x2, f2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLD * (b - a)
+            f1 = f(x1)
+            if f1 > best[1]:
+                best = (x1, f1)
+    return best
+
+
+def _tv_newton(n: int, omega: float, p_max: float, box):
+    """Newton's method on the tv first-order conditions, in r = ln(1 - omega)
+    and s = ln(1 - p_max).
+
+    Solves f1 = f2 = 0 of `tv_residuals` with their common factor 2u divided
+    out (u = 0 is the line of minima), both times ln n:
+    g1 = ln n * h - u * lnratio / 2 and g2 = ln n * h - u * ratiodiff / 2.
+    Both groups' shares 1 - omega and 1 - p_max shrink as n grows, and g2
+    has a pole at omega = 1; in the log coordinates the steps stay inside
+    the square and 1 - p_max can reach the float limit.  Started on the
+    edge p_max = 1, s starts at the root of g1 as 1 - p_max -> 0.  Returns
+    (omega, p_max), or None when an iterate leaves `box` = (omega_lo,
+    omega_hi, p_lo) or the steps do not settle.
+    """
+    w_lo, w_hi, p_lo = box
+    r_lo, r_hi, s_hi = math.log1p(-w_hi), math.log1p(-w_lo), math.log1p(-p_lo)
+    ln_n = math.log(n)
+    r = math.log1p(-omega)
+    if p_max < 1.0:
+        s = math.log1p(-p_max)
+    else:
+        s = min(math.log(omega) - r - 2.0 * (ln_n + r) / omega, s_hi)
+    for _ in range(_NEWTON_STEPS):
+        v, w = math.exp(r), -math.expm1(r)
+        q, p = math.exp(s), -math.expm1(s)
+        u = w - q
+        ln_p, ln_w = math.log1p(-q), math.log(w)
+        lnratio = ln_p - r - s + ln_w
+        ratiodiff = p / v - q / w
+        lh = ln_n - q * (s - ln_w) - p * (ln_p - r)
+        g1 = lh - 0.5 * u * lnratio
+        g2 = lh - 0.5 * u * ratiodiff
+        wv = w * v
+        # d/dr = -v d/domega
+        g1_r = v * (ratiodiff + 0.5 * (lnratio + u / wv))
+        g2_r = v * (ratiodiff + 0.5 * (ratiodiff + u * (p / (v * v) + q / (w * w))))
+        g1_s = q * lnratio + 0.5 * (q * lnratio + u / p)
+        g2_s = q * lnratio + 0.5 * q * (ratiodiff + u / wv)
+        det = g1_r * g2_s - g1_s * g2_r
+        if det == 0.0:
+            return None
+        dr = (g2 * g1_s - g1 * g2_s) / det
+        ds = (g1 * g2_r - g2 * g1_r) / det
+        r += dr
+        s += ds
+        if not (r_lo <= r <= r_hi and s <= s_hi):
+            return None
+        if abs(dr) <= _NEWTON_TOL * max(1.0, -r) and abs(ds) <= _NEWTON_TOL * max(1.0, -s):
+            return -math.expm1(r), -math.expm1(s)
+    return None
+
+
+def _box_max(kind: ComplexityKind, n: int, box):
+    """(omega, p_max, c) of the peak in box = (omega_lo, omega_hi, p_lo, p_hi):
+    golden sections in p_max nested in one in omega."""
+    w_lo, w_hi, p_lo, p_hi = box
+
+    def best_p(w):
+        return _golden(lambda p: _c_at(kind, n, w, p), p_lo, p_hi)
+
+    omega, _ = _golden(lambda w: best_p(w)[1], w_lo, w_hi)
+    p_max, c = best_p(omega)
     return omega, p_max, c
+
+
+def _interior_max(kind: ComplexityKind, n: int, omega: float, p_max: float, box):
+    """(omega, p_max, c) of an interior peak in `box`, started at (omega, p_max):
+    Newton's method for tv, else, or when it fails, the bracketed search."""
+    if kind is ComplexityKind.TV:
+        found = _tv_newton(n, omega, p_max, box[:3])
+        if found is not None:
+            return (*found, _c_at(kind, n, *found))
+    return _box_max(kind, n, box)
+
+
+def _continuous_max(kind: ComplexityKind, n: int):
+    """(omega, p_max, c) of the largest C over the band and the p_max >= 1/2 branch.
+
+    The cell of a coarse grid picks the peak and the grid lines next to it
+    bracket it.  The signs of the slopes into the domain at that cell (the
+    first-order conditions for a maximum on a closed domain) tell whether
+    the peak sits on the edge p_max = 1, on an omega band edge, or inside;
+    an edge peak is a 1-d golden-section search along the edge.
+    """
+    w_lo, w_hi = _omega_band(kind, n)
+    grid = np.arange(1, _CELLS) / _CELLS
+    ws = np.unique(np.concatenate([grid[(grid >= w_lo) & (grid <= w_hi)], [w_lo, w_hi]]))
+    ps = np.arange(_CELLS // 2, _CELLS + 1) / _CELLS  # one twin branch
+    surf = kernels.family_c_grid(kind, float(n), ws[:, None], ps[None, :])
+    i, j = divmod(int(np.argmax(surf)), ps.size)
+    w0, p0 = float(ws[i]), float(ps[j])
+    c0 = _c_at(kind, n, w0, p0)
+    box = (float(ws[max(i - 1, 0)]), float(ws[min(i + 1, ws.size - 1)]),
+           p0 - 1.0 / _CELLS, min(p0 + 1.0 / _CELLS, 1.0))
+    c_w, c_p = _slopes(kind, n, w0, p0)
+    if p0 == 1.0 and c_p >= 0.0:
+        omega, c = _golden(lambda w: _c_at(kind, n, w, 1.0), box[0], box[1])
+        p_max = 1.0
+    elif (w0 == w_hi and c_w >= 0.0) or (w0 == w_lo and c_w <= 0.0):
+        p_max, c = _golden(lambda p: _c_at(kind, n, w0, p), box[2], box[3])
+        omega = w0
+    else:
+        omega, p_max, c = _interior_max(kind, n, w0, p0, box)
+    if c < c0:
+        return w0, p0, c0
+    return omega, p_max, c
+
+
+def _integer_max(kind: ComplexityKind, n: int):
+    """(omega, p_max, c) of the largest C over the group counts k in [1, n - 1].
+
+    Row k's C is 0 at p_max = 1 - k/n, and the twin map sends its side
+    below that point onto row n - k's side above it, so every row is
+    searched on p_max in [1 - k/n, 1] only: bracketed by a 16-cell grid,
+    then one golden-section search over all rows at once.
+    """
+    ws = np.arange(1, n, dtype=np.int64) / float(n)
+    ps = np.arange(17) / 16.0
+    surf = kernels.family_c_grid(kind, float(n), ws[:, None], ps[None, :])
+    floor = 1.0 - ws
+    surf[ps[None, :] < floor[:, None]] = -np.inf
+    j = np.argmax(surf, axis=1)
+    best_p = ps[j]
+    best_c = surf[np.arange(ws.size), j]
+
+    def keep(x, fx):
+        better = fx > best_c
+        best_c[better] = fx[better]
+        best_p[better] = x[better]
+
+    a = np.maximum(ps[np.maximum(j - 1, 0)], floor)
+    b = ps[np.minimum(j + 1, ps.size - 1)]
+    x1, x2 = b - _GOLD * (b - a), a + _GOLD * (b - a)
+    f = kernels.family_c_grid(kind, float(n), np.concatenate([ws, ws]), np.concatenate([x1, x2]))
+    f1, f2 = f[:ws.size], f[ws.size:]
+    keep(x1, f1)
+    keep(x2, f2)
+    # every bracket starts at most 2/16 wide and shrinks by _GOLD per step
+    for _ in range(math.ceil(math.log(_XTOL * 8.0) / math.log(_GOLD))):
+        up = f2 > f1  # the peak lies in [x1, b]
+        a = np.where(up, x1, a)
+        b = np.where(up, b, x2)
+        x_new = np.where(up, a + _GOLD * (b - a), b - _GOLD * (b - a))
+        f_new = kernels.family_c_grid(kind, float(n), ws, x_new)
+        keep(x_new, f_new)
+        x1, f1, x2, f2 = (np.where(up, x2, x_new), np.where(up, f2, f_new),
+                          np.where(up, x_new, x1), np.where(up, f_new, f1))
+    k = int(np.argmax(best_c))  # ties: the smallest omega
+    omega, p_max = float(ws[k]), float(best_p[k])
+    return omega, p_max, _c_at(kind, n, omega, p_max)
 
 
 @functools.lru_cache(maxsize=128)
 def maximize_family(kind: ComplexityKind, n: int, mode: str = "continuous") -> OptimumRecord:
     """Global maximum of the family complexity surface for alphabet size n.
 
-    Continuous mode treats omega as a real parameter: a coarse grid over
-    the p_max >= 1/2 twin branch, which holds a twin of every cell of the
-    full grid since the omega band is symmetric, then coordinate ascent.
-    (For sq above n ~ 1e10 the band edge 1 - 1/n rounds in float, so there
-    the branches no longer mirror each other exactly; this branch is the
-    reported one.)
-    Integer mode scans every group count k in [1, n - 1] and refines p_max
-    for each.  Ties are broken toward the smaller omega, then smaller
-    p_max: among the branch's grid cells in continuous mode, among the
-    refined optima in integer mode.  The result is mapped onto the
+    Continuous mode treats omega as a real parameter.  A grid of step 1/32
+    over the band and the p_max >= 1/2 twin branch, which holds a twin of
+    every cell of the full grid since the band is symmetric, picks the peak
+    (33 x 17 cells for jsd and tv; band edges included); the
+    first-order conditions at its best cell choose an edge solve (a 1-d
+    golden-section search: omega = 1 - 1/n for sq, p_max = 1 for jsd) or
+    an interior one (Newton's method on the stationarity conditions for
+    tv).  The result is never below the best grid cell.  (For sq above
+    n ~ 1e10 the band edge 1 - 1/n rounds in float, so there the branches
+    no longer mirror each other exactly; this branch is the reported one.)
+    Integer mode brackets p_max for every group count k in [1, n - 1] on a
+    17-point grid and refines all rows in one batched golden-section
+    search.  Ties are broken toward the smaller omega: among the branch's
+    grid cells (then the smaller p_max) in continuous mode, among the
+    refined rows in integer mode.  The result is mapped onto the
     p_max >= 1/2 twin branch.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
@@ -153,32 +351,13 @@ def maximize_family(kind: ComplexityKind, n: int, mode: str = "continuous") -> O
         raise DimensionError("family optimization needs an alphabet of size < 2**53")
     if mode not in ("continuous", "integer"):
         raise RangeError(f"unknown optimization mode {mode!r}")
-    if mode == "integer" and n > 2 ** 16:  # one ascent per group count: 2**16 takes seconds
+    if mode == "integer" and n > 2 ** 16:  # n - 1 rows per solve
         raise RangeError(f"integer mode takes n <= 2**16, got {n}")
 
-    w_lo, w_hi = _omega_band(kind, n)
-
     if mode == "continuous":
-        grid = np.arange(1, _COARSE) / _COARSE
-        ws = grid[(grid >= w_lo) & (grid <= w_hi)]
-        ws = np.unique(np.concatenate([ws, [w_lo, w_hi]]))
-        ps = np.arange(_COARSE // 2, _COARSE + 1) / _COARSE  # one twin branch
-        surf = np.asarray(kernels.family_c_grid(kind, float(n), ws, ps))
-        i, j = divmod(int(np.argmax(surf)), ps.size)
-        omega, p_max, c = _ascend(kind, n, float(ws[i]), float(ps[j]), w_lo, w_hi, 1.0 / _COARSE)
+        omega, p_max, c = _continuous_max(kind, n)
     else:
-        ws = np.arange(1, n, dtype=np.int64) / float(n)
-        ps_coarse = np.arange(17) / 16.0
-        surf = np.asarray(kernels.family_c_grid(kind, float(n), ws, ps_coarse))
-        best = None
-        for row, w in enumerate(ws.tolist()):
-            j = int(np.argmax(surf[row]))
-            _, p_k, c_k = _ascend(kind, n, w, float(ps_coarse[j]), w, w, 1.0 / 16.0)
-            key = (-c_k, w, p_k)
-            if best is None or key < best[0]:
-                best = (key, w, p_k, c_k)
-        _, omega, p_max, c = best
-
+        omega, p_max, c = _integer_max(kind, n)
     if p_max < 0.5:
         omega, p_max = 1.0 - omega, 1.0 - p_max
         c = _c_at(kind, n, omega, p_max)

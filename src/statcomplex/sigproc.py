@@ -358,6 +358,13 @@ def complexity_series(samples, window_length: int = 2048, hop: int = None,
         raise RangeError("sample rate must be positive")
     if threshold is None:
         threshold = complexity_threshold(kind, window_length)
+    return _window_series(x, window_length, hop, kind, threshold, sample_rate)
+
+
+def _window_series(x: np.ndarray, window_length: int, hop: int, kind: ComplexityKind,
+                   threshold: float, sample_rate: float) -> WindowSeries:
+    """The engine of `complexity_series`, on arguments it has validated:
+    `x` as `_check_record` returns it, a positive integer hop and rate."""
     frames = _frames(_prescale(x), window_length, hop)
     c_values = np.concatenate([
         _batch_complexity(frames[i:i + _CHUNK_WINDOWS], kind)
@@ -433,9 +440,7 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
     """
     x = _check_record(samples, window_length)
     gamma = complexity_threshold(kind, window_length, fraction)
-    series = complexity_series(x, window_length=window_length, hop=window_length,
-                               kind=kind, threshold=gamma,
-                               sample_rate=config.sample_rate)
+    series = _window_series(x, window_length, window_length, kind, gamma, config.sample_rate)
     states = classify_windows(config, x.size, window_length, window_length)
     decisions = series.decisions
     on = states == WINDOW_ON

@@ -318,13 +318,20 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     unscoped = ([*detect, "--format", "json"], [*detect, "--seed", "1"],
                 ["tables", "--seed", "1"], ["grid", "--kind", "sq", "--seed", "1"],
                 ["synth", "--format", "json"], ["demo", "--format", "json"])
-    for argv in (["frobnicate"], [], ["tables", "--mode", "psychic"], *unscoped):
+    # an empty selection, and two flags that each set the demo's seeds
+    refused = {("tables", "--kinds", ","): "argument --kinds: expected at least one",
+               ("tables", "--sizes", ""): "argument --sizes: expected at least one",
+               ("demo", "--seed", "3", "--seeds", "1"): "not allowed with argument --seed"}
+    for argv in (["frobnicate"], [], ["tables", "--mode", "psychic"], *unscoped,
+                 *map(list, refused)):
         with pytest.raises(SystemExit) as exc:
             main([*argv, *out])
         assert exc.value.code == 3
         err = capsys.readouterr().err
         if argv in unscoped:
             assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+        if tuple(argv) in refused:
+            assert refused[tuple(argv)] in err
     assert list(tmp_path.iterdir()) == []
     # a usage error leaves the shared parser fit for the next call
     assert main(["tables", "--sizes", "3", *out]) == 0

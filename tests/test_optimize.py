@@ -56,25 +56,77 @@ def test_reported_branch_is_upper():
             assert r.p_max_star >= 0.5
 
 
-def _both_branch_search(kind, n):
-    """The coarse search over both twin branches, then the solver's own ascent."""
+_FULL = 512  # the 511 x 513 grid over both twin branches
+
+
+def _ascend(kind, n, omega, p_max, w_lo, w_hi, step0, tol=1e-7):
+    """Coordinate ascent with step halving: the solver's former refinement, kept as a reference."""
+    c = optimize._c_at(kind, n, omega, p_max)
+    step = step0
+    while step >= tol:
+        improved = True
+        while improved:
+            improved = False
+            for dw, dp in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+                w2 = min(max(omega + dw, w_lo), w_hi)
+                p2 = min(max(p_max + dp, 0.0), 1.0)
+                if w2 == omega and p2 == p_max:
+                    continue
+                c2 = optimize._c_at(kind, n, w2, p2)
+                if c2 > c:
+                    omega, p_max, c = w2, p2, c2
+                    improved = True
+        step *= 0.5
+    return omega, p_max, c
+
+
+def _full_grid(kind, n):
     w_lo, w_hi = optimize._omega_band(kind, n)
-    coarse = np.arange(1, optimize._COARSE) / optimize._COARSE
+    coarse = np.arange(1, _FULL) / _FULL
     ws = np.unique(np.concatenate([coarse[(coarse >= w_lo) & (coarse <= w_hi)], [w_lo, w_hi]]))
-    ps = np.arange(optimize._COARSE + 1) / optimize._COARSE
-    surf = kernels.family_c_grid(kind, float(n), ws, ps)
+    ps = np.arange(_FULL + 1) / _FULL
+    return ws, ps, kernels.family_c_grid(kind, float(n), ws[:, None], ps[None, :])
+
+
+def _both_branch_search(kind, n):
+    """The coarse search over both twin branches, then the former ascent."""
+    w_lo, w_hi = optimize._omega_band(kind, n)
+    ws, ps, surf = _full_grid(kind, n)
     i, j = np.unravel_index(np.argmax(surf), surf.shape)
-    omega, p_max, c = optimize._ascend(kind, n, float(ws[i]), float(ps[j]), w_lo, w_hi,
-                                       1.0 / optimize._COARSE)
+    omega, p_max, c = _ascend(kind, n, float(ws[i]), float(ps[j]), w_lo, w_hi, 1.0 / _FULL)
     if p_max < 0.5:
         omega, p_max = 1.0 - omega, 1.0 - p_max
         c = optimize._c_at(kind, n, omega, p_max)
     return surf.max(), (c, p_max, omega)
 
 
+def _zoom_max(kind, n):
+    """Largest C on the reported branch p_max >= 1/2: a 33 x 33 grid zoomed
+    4-fold at a time around its best cell, from the full grid's best cell there.
+
+    (For sq the band edge 1 - 1/n rounds in float, which at n ~ 1e6 already
+    lifts the lower branch's peak some 1e-11 relative above its twin's.)
+    """
+    w_lo, w_hi = optimize._omega_band(kind, n)
+    ws, ps, surf = _full_grid(kind, n)
+    ps, surf = ps[_FULL // 2:], surf[:, _FULL // 2:]
+    i, j = np.unravel_index(np.argmax(surf), surf.shape)
+    w, p, best = ws[i], ps[j], surf.max()
+    half = 1.0 / _FULL
+    while half > 1e-13:
+        wz = np.clip(w + np.linspace(-half, half, 33), w_lo, w_hi)
+        pz = np.clip(p + np.linspace(-half, half, 33), 0.5, 1.0)
+        z = kernels.family_c_grid(kind, float(n), wz[:, None], pz[None, :])
+        a, b = np.unravel_index(np.argmax(z), z.shape)
+        w, p, best = wz[a], pz[b], max(best, z[a, b])
+        half /= 4.0
+    return best
+
+
 def test_twin_branch_search_misses_no_coarse_cell():
     # the coarse search covers p_max >= 1/2 only; its optimum must top every
-    # cell of the full coarse grid and equal the search over both branches
+    # cell of the full coarse grid and the former ascent over both branches,
+    # and agree with a dense zoom
     rng = np.random.default_rng(5)
     sizes = (3, 256, 2048, *(int(n) for n in rng.integers(4, 2 ** 20, 4)))
     for kind in (SQ, JSD, TV):
@@ -82,7 +134,92 @@ def test_twin_branch_search_misses_no_coarse_cell():
             r = maximize_family(kind, n)
             grid_max, both = _both_branch_search(kind, n)
             assert r.c_star >= grid_max, (kind, n)
-            assert (r.c_star, r.p_max_star, r.omega_star) == both, (kind, n)
+            assert r.c_star >= both[0], (kind, n)
+            zoom = _zoom_max(kind, n)
+            assert abs(r.c_star - zoom) <= 1e-13 * zoom, (kind, n, r.c_star, zoom)
+
+
+@pytest.mark.parametrize("n", [3, 64, 256, 2048, 2 ** 20])
+def test_tv_interior_optimum_is_stationary(n):
+    r = maximize_family(TV, n)
+    assert r.p_max_star < 1.0
+    t = tv_residuals(n, r.omega_star, r.p_max_star)
+    assert abs(t.f1) <= 1e-9 and abs(t.f2) <= 1e-9, t
+
+
+def _spy(monkeypatch, name, calls):
+    fn = getattr(optimize, name)
+
+    def spy(*args):
+        out = fn(*args)
+        calls.append((name, out))
+        return out
+
+    monkeypatch.setattr(optimize, name, spy)
+
+
+@pytest.mark.parametrize("kind,n", [(SQ, 3), (SQ, 2048), (JSD, 3), (JSD, 2048), (TV, 3), (TV, 2048),
+                                    (TV, 2 ** 53 - 1)])
+def test_solver_branches(monkeypatch, kind, n):
+    # sq peaks on the band edge omega = 1 - 1/n, jsd on the edge p_max = 1,
+    # tv inside the square (on the float limit p_max = 1 for the largest n)
+    calls = []
+    for name in ("_golden", "_tv_newton", "_box_max"):
+        _spy(monkeypatch, name, calls)
+    optimize.maximize_family.cache_clear()
+    try:
+        r = maximize_family(kind, n)
+    finally:
+        optimize.maximize_family.cache_clear()
+    names = [name for name, _ in calls]
+    if kind is TV:
+        assert names == ["_tv_newton"] and calls[0][1] is not None
+        assert r.p_max_star < 1.0 or n == 2 ** 53 - 1
+    else:
+        assert names == ["_golden"]
+        if kind is SQ:
+            assert r.omega_star == 1.0 - 1.0 / n and 0.5 < r.p_max_star < 1.0
+        else:
+            assert r.p_max_star == 1.0
+
+
+def test_interior_falls_back_to_bracketed_search():
+    n = 64
+    r = maximize_family(TV, n)
+    box = (r.omega_star - 1 / 32, r.omega_star + 1 / 32, r.p_max_star - 1 / 32, 1.0)
+    start = (0.5, 0.75)  # off the basin: Newton's first step leaves the box
+    assert optimize._tv_newton(n, *start, box[:3]) is None
+    omega, p_max, c = optimize._interior_max(TV, n, *start, box)
+    assert c == pytest.approx(r.c_star, rel=1e-13)
+    assert (omega, p_max) == pytest.approx((r.omega_star, r.p_max_star), abs=1e-6)
+    assert optimize._box_max(SQ, 3, (0.5, 2 / 3, 0.5, 1.0))[2] == pytest.approx(
+        maximize_family(SQ, 3).c_star, rel=1e-13)
+
+
+def test_solve_never_ends_below_its_best_cell(monkeypatch):
+    monkeypatch.setattr(optimize, "_interior_max", lambda kind, n, w, p, box: (0.5, 0.5, 0.0))
+    omega, p_max, c = optimize._continuous_max(TV, 64)
+    assert c > 0.39 and c == optimize._c_at(TV, 64, omega, p_max)
+    assert (omega * 32, p_max * 32) == (round(omega * 32), round(p_max * 32))  # a grid cell
+
+
+@pytest.mark.parametrize("kind", [SQ, JSD, TV])
+def test_slopes_match_differences(kind):
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(3, 4096))
+        w, p = rng.uniform(0.05, 0.95, 2)
+        c_w, c_p = optimize._slopes(kind, n, float(w), float(p))
+        h = 1e-6
+        dw = (optimize._c_at(kind, n, w + h, p) - optimize._c_at(kind, n, w - h, p)) / (2 * h)
+        dp = (optimize._c_at(kind, n, w, p + h) - optimize._c_at(kind, n, w, p - h)) / (2 * h)
+        assert c_w == pytest.approx(dw, rel=1e-6, abs=1e-8)
+        assert c_p == pytest.approx(dp, rel=1e-6, abs=1e-8)
+    # on p_max = 1 the slope diverges: into the square for jsd at its optimum,
+    # out of it for sq and tv wherever C > 0
+    r = maximize_family(kind, 256)
+    expected = math.inf if kind is JSD else -math.inf
+    assert optimize._slopes(kind, 256, r.omega_star, 1.0)[1] == expected
 
 
 def test_optimum_is_locally_maximal():
@@ -116,6 +253,24 @@ def test_integer_mode_small_n_exhaustive():
             best = max(best, c)
     r = maximize_family(SQ, 8, mode="integer")
     assert r.c_star == pytest.approx(best, abs=1e-7)
+
+
+@pytest.mark.parametrize("kind", [SQ, JSD, TV])
+def test_integer_mode_matches_dense_scan(kind):
+    # every group count k against a p_max grid of step 1e-5, mapped to p_max >= 1/2
+    n = 64
+    ps = np.linspace(0.0, 1.0, 100001)
+    best = (-1.0, 0, 0.0)
+    for k in range(1, n):
+        row = kernels.family_c_grid(kind, float(n), np.array([k / n]), ps)
+        j = int(np.argmax(row))
+        if row[j] > best[0]:
+            best = (float(row[j]), k, float(ps[j]))
+    c, k, p = best
+    r = maximize_family(kind, n, mode="integer")
+    assert r.n_minus_k_star == (k if p < 0.5 else n - k)
+    assert c - 1e-15 <= r.c_star <= c + 1e-9
+    assert r.p_max_star == pytest.approx(max(p, 1.0 - p), abs=1e-4)
 
 
 def test_maximize_family_validation():

@@ -34,9 +34,10 @@ def test_family_hdc_twin_symmetry(code, n, omega, p_max):
 def test_family_c_grid_twin_symmetry(code, n, omegas, p_maxes):
     w = np.array(omegas)
     p = np.array(p_maxes)
-    surf = kernels.family_c_grid(code, float(n), w, p)
+    surf = kernels.family_c_grid(code, float(n), w[:, None], p[None, :])
     # the mirrored grid, reversed on both axes, lists the twins in the same cells
-    twin = kernels.family_c_grid(code, float(n), (1.0 - w)[::-1], (1.0 - p)[::-1])[::-1, ::-1]
+    twin = kernels.family_c_grid(code, float(n), (1.0 - w)[::-1, None],
+                                 (1.0 - p)[None, ::-1])[::-1, ::-1]
     assert _twin_gap_ok(surf, twin)
 
 
@@ -48,7 +49,7 @@ def test_family_c_grid_matches_family_hdc(kind, n, omegas, p_maxes):
     w = np.array([1e-9, 1.0 / n, 1.0 - 1.0 / n, 1.0 - 1e-9, *omegas])
     # 1 - w puts cells on the uniform line w + p == 1
     p = np.array([0.0, 1.0, *p_maxes, *(1.0 - w)])
-    surf = kernels.family_c_grid(kind, float(n), w, p)
+    surf = kernels.family_c_grid(kind, float(n), w[:, None], p[None, :])
     for i, wi in enumerate(w.tolist()):
         for j, pj in enumerate(p.tolist()):
             h, d, c = kernels.family_hdc(kind, float(n), wi, pj)
@@ -58,6 +59,19 @@ def test_family_c_grid_matches_family_hdc(kind, n, omegas, p_maxes):
     on_line = (w[:, None] + p[None, :]) == 1.0
     assert on_line.any()
     assert np.all(surf[on_line] == 0.0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(kind=st.sampled_from(CODES), n=SIZES,
+       omegas=st.lists(OMEGAS, min_size=1, max_size=16),
+       p_maxes=st.lists(P_MAXES, min_size=1, max_size=16))
+def test_family_c_grid_pairs_match_outer_grid(kind, n, omegas, p_maxes):
+    # a batch of (omega, p_max) pairs gets the values of the outer grid's cells
+    w, p = np.array(omegas), np.array(p_maxes)
+    surf = kernels.family_c_grid(kind, float(n), w[:, None], p[None, :])
+    ww, pp = np.meshgrid(w, p, indexing="ij")
+    pairs = kernels.family_c_grid(kind, float(n), ww.ravel(), pp.ravel())
+    np.testing.assert_allclose(pairs.reshape(surf.shape), surf, rtol=1e-12, atol=1e-15)
 
 
 def _row_sum(t):
