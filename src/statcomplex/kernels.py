@@ -2,7 +2,7 @@
 
 Kernels
 -------
-rows_c(kind, p, n, rowsum)
+rows_c(kind, p, n, rowsum, scratch=None)
     Complexity of each row of a table of n-state distributions.
 family_hdc(kind, n, omega, p_max)
     Closed-form (entropy factor, disequilibrium, complexity) of one
@@ -50,18 +50,23 @@ class ComplexityKind(enum.Enum):
             raise RangeError(f"unknown complexity kind {text!r}; expected one of: {valid}")
 
 
-def rows_c(kind: ComplexityKind, p: np.ndarray, n: int, rowsum) -> np.ndarray:
+def rows_c(kind: ComplexityKind, p: np.ndarray, n: int, rowsum,
+           scratch: np.ndarray = None) -> np.ndarray:
     """C = H * D of each row of `p`, a table of n-state distributions.
 
     A column may stand for several equal states: `rowsum(t)` sums a table
     `t` shaped like `p` over all n states of each row.  Matches
     `complexity_value` row by row, clips included.  Overwrites `p`, since a
     fresh temporary per step costs more in page faults than the arithmetic.
+    `scratch`, a float64 array of `p`'s shape, is overwritten in place of
+    the one table-sized temporary; without it, that temporary is allocated.
+    Apart from it and what `rowsum` allocates, the kernel allocates only
+    row vectors.
     """
     log_n = math.log(n)
     u = 1.0 / n
     # p ln p with 0 ln 0 = 0; terms below the smallest normal float are negligible
-    t = np.maximum(p, _TINY)
+    t = np.maximum(p, _TINY, out=scratch)
     np.log(t, out=t)
     t *= p
     h_nats = 0.0 - rowsum(t)  # not -rowsum(t), which turns a zero entropy into -0.0

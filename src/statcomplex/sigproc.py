@@ -16,6 +16,8 @@ can be re-noised and vice versa.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -272,8 +274,11 @@ class WindowSeries:
         return int(self.c_values.size)
 
 
-# Windows per batch: bounds the working set at a few (chunk x N) arrays.
+# Windows in flight at once, summed over all threads: bounds the working
+# set at a few (chunk x N) arrays.
 _CHUNK_WINDOWS = 128
+# Fewest windows per batch when the 128 are split between threads.
+_MIN_THREAD_WINDOWS = 32
 
 
 def _check_record(samples, window_length) -> np.ndarray:
@@ -321,20 +326,78 @@ def _mirror_sum(t: np.ndarray) -> np.ndarray:
     return t[:, 0] + t[:, -1] + 2.0 * t[:, 1:-1].sum(axis=1)
 
 
-def _batch_complexity(frames: np.ndarray, kind: ComplexityKind) -> np.ndarray:
+def _spectrum_buffers(rows: int, window_length: int, sets: int = 1) -> list:
+    """`sets` sets of work arrays for `_batch_complexity` on up to `rows`
+    windows: the rfft output, the power spectrum and the `rows_c` scratch.
+
+    All are views of one allocation.  glibc hands the top of its heap back
+    to the system when a free leaves more than twice its largest recent
+    block unused there.  Separate arrays, freed together at the end of a
+    call, did that, and every call faulted its buffers in again.
+    """
+    shape = (rows, window_length // 2 + 1)
+    size = shape[0] * shape[1]
+    block = np.empty(4 * size * sets)
+    return [(block[i:i + 2 * size].view(np.complex128).reshape(shape),
+             block[i + 2 * size:i + 3 * size].reshape(shape),
+             block[i + 3 * size:i + 4 * size].reshape(shape))
+            for i in range(0, block.size, 4 * size)]
+
+
+def _batch_complexity(frames: np.ndarray, kind: ComplexityKind, buffers=None) -> np.ndarray:
     """C of each row of `frames` over its normalized two-sided power spectrum.
 
     Matches `complexity_value(spectrum_distribution(row), kind)`, with
-    all-zero rows at exactly 0.
+    all-zero rows at exactly 0.  `buffers`, one set from `_spectrum_buffers`
+    for at least as many rows, holds the table-sized work, so the call
+    itself allocates only row vectors; without it, a set is allocated here.
     """
-    p = np.abs(np.fft.rfft(frames, axis=1))
+    rows, window_length = frames.shape
+    if buffers is None:
+        buffers = _spectrum_buffers(rows, window_length)[0]
+    spectrum, p, scratch = (b[:rows] for b in buffers)
+    np.fft.rfft(frames, axis=1, out=spectrum)
+    np.abs(spectrum, out=p)
     p *= p
     total = _mirror_sum(p)
     zero = total == 0.0
     p /= np.where(zero, 1.0, total)[:, None]
-    c = rows_c(kind, p, frames.shape[1], _mirror_sum)
+    c = rows_c(kind, p, window_length, _mirror_sum, scratch)
     c[zero] = 0.0
     return c
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_threads(work, count: int) -> None:
+    """Call `work(0)` here and `work(i)`, 0 < i < count, on one new thread
+    each; once every thread has ended, re-raise the first exception."""
+    errors = [None] * count
+
+    def guarded(i):
+        try:
+            work(i)
+        except BaseException as exc:  # re-raised below, in the calling thread
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, count):
+            thread = threading.Thread(target=guarded, args=(i,))
+            thread.start()
+            threads.append(thread)
+        guarded(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def complexity_series(samples, window_length: int = 2048, hop: int = None,
@@ -346,8 +409,11 @@ def complexity_series(samples, window_length: int = 2048, hop: int = None,
     trailing partial window is discarded.  Each window's decision is
     c_value > threshold; when no threshold is given, the 25%-of-maximum
     rule for the window's alphabet size is used.  Windows are processed
-    in fixed-size batches, so the memory used beyond a scaled copy of the
-    record stays O(batch x window_length) whatever the record length.
+    in batches on every usable CPU.  At most 128 windows are in flight in
+    total, whatever the number of threads, so the memory used beyond a
+    scaled copy of the record and the output columns stays
+    O(128 x window_length) whatever the record length.  The values do not
+    depend on the number of threads.
     """
     x = _check_record(samples, window_length)
     if hop is None:
@@ -364,12 +430,39 @@ def complexity_series(samples, window_length: int = 2048, hop: int = None,
 def _window_series(x: np.ndarray, window_length: int, hop: int, kind: ComplexityKind,
                    threshold: float, sample_rate: float) -> WindowSeries:
     """The engine of `complexity_series`, on arguments it has validated:
-    `x` as `_check_record` returns it, a positive integer hop and rate."""
+    `x` as `_check_record` returns it, a positive integer hop and rate.
+
+    A record of more than one chunk runs on one thread per usable CPU, the
+    calling thread among them; numpy releases the interpreter lock in the
+    FFT and the elementwise steps.  The threads take chunks of consecutive
+    windows in turn until none is left, so a thread on a busy core takes
+    fewer of them, and no thread waits on another for more than one chunk.
+    Each thread's buffers are allocated here, before any thread starts, so
+    the threads allocate no table-sized array: a thread's own allocations
+    would stay in its own malloc arena and raise the peak resident memory.
+    """
     frames = _frames(_prescale(x), window_length, hop)
-    c_values = np.concatenate([
-        _batch_complexity(frames[i:i + _CHUNK_WINDOWS], kind)
-        for i in range(0, frames.shape[0], _CHUNK_WINDOWS)])
-    t_centers = (np.arange(frames.shape[0]) * hop + window_length / 2) / sample_rate
+    n_windows = frames.shape[0]
+    threads = 1
+    if n_windows > _CHUNK_WINDOWS:
+        threads = min(_usable_cpus(), _CHUNK_WINDOWS // _MIN_THREAD_WINDOWS)
+    chunk = _CHUNK_WINDOWS // threads
+    buffers = _spectrum_buffers(min(chunk, n_windows), window_length, threads)
+    c_values = np.empty(n_windows)
+    starts = iter(range(0, n_windows, chunk))
+    claim = threading.Lock()
+
+    def run_chunks(thread):
+        while True:
+            with claim:
+                i = next(starts, None)
+            if i is None:
+                return
+            j = min(i + chunk, n_windows)
+            c_values[i:j] = _batch_complexity(frames[i:j], kind, buffers[thread])
+
+    _run_threads(run_chunks, threads)
+    t_centers = (np.arange(n_windows) * hop + window_length / 2) / sample_rate
     return WindowSeries(kind=kind, window_length=window_length, hop=int(hop),
                         threshold=float(threshold), sample_rate=float(sample_rate),
                         t_centers=t_centers, c_values=c_values,
@@ -387,14 +480,38 @@ WINDOW_MIXED = -1
 _STATE_NAMES = {WINDOW_ON: "on", WINDOW_OFF: "off", WINDOW_MIXED: "mixed"}
 
 
+def _on_range(config: SignalConfig, n: int):
+    """Half-open index range [lo, hi), within [0, n], of the samples that
+    `indicator_mask` marks on: t_start <= i / rate <= t_end in float64.
+
+    i / rate is correctly rounded, so it never decreases with i and the on
+    samples are contiguous.  Rounding moves an end by at most one sample
+    from ceil(t_start * rate) or floor(t_end * rate), and the loops settle
+    it with the mask's own comparisons.
+    """
+    rate = config.sample_rate
+    t_start, t_end = config.indicator_on
+    lo = math.ceil(t_start * rate)
+    while lo > 0 and (lo - 1) / rate >= t_start:
+        lo -= 1
+    while lo / rate < t_start:
+        lo += 1
+    last = math.floor(t_end * rate)
+    while (last + 1) / rate <= t_end:
+        last += 1
+    while last >= 0 and last / rate > t_end:
+        last -= 1
+    return min(lo, n), min(last + 1, n)
+
+
 def classify_windows(config: SignalConfig, n_samples: int, window_length: int,
                      hop: int) -> np.ndarray:
     """Sample-exact window states: fully inside the on-interval, fully outside, or mixed."""
-    on_before = np.concatenate(([0], np.cumsum(indicator_mask(config, n_samples))))
+    lo, hi = _on_range(config, n_samples)
     starts = np.arange((n_samples - window_length) // hop + 1) * hop
-    on_count = on_before[starts + window_length] - on_before[starts]
-    return np.where(on_count == window_length, WINDOW_ON,
-                    np.where(on_count == 0, WINDOW_OFF, WINDOW_MIXED))
+    on_count = np.minimum(starts + window_length, hi) - np.maximum(starts, lo)
+    return np.where(on_count >= window_length, WINDOW_ON,
+                    np.where(on_count <= 0, WINDOW_OFF, WINDOW_MIXED))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """Property tests of invariants the paper's closed forms imply."""
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from statcomplex import (ComplexityKind, FamilyPoint, complexity_series, complexity_value,
-                         family_complexity_direct, family_eval, jsd, kernels, normalize,
+from statcomplex import (ComplexityKind, FamilyPoint, SignalConfig, classify_windows,
+                         complexity_series, complexity_value, family_complexity_direct,
+                         family_eval, indicator_mask, jsd, kernels, normalize,
                          spectrum_distribution, total_variation)
+from statcomplex.sigproc import WINDOW_MIXED, WINDOW_OFF, WINDOW_ON
 
 CODES = list(ComplexityKind)
 SIZES = st.integers(min_value=3, max_value=2 ** 16)
@@ -163,3 +167,53 @@ def test_family_closed_form_matches_direct(kind, data):
                         p_max=data.draw(P_MAXES))
     c, c_direct = family_eval(kind, point).c, family_complexity_direct(kind, point)
     assert abs(c - c_direct) <= 1e-12, (c, c_direct)
+
+
+def _mask_states(config, n_samples, window_length, hop):
+    """Window states counted from the per-sample indicator mask."""
+    on_before = np.concatenate(([0], np.cumsum(indicator_mask(config, n_samples))))
+    starts = np.arange((n_samples - window_length) // hop + 1) * hop
+    on_count = on_before[starts + window_length] - on_before[starts]
+    return np.where(on_count == window_length, WINDOW_ON,
+                    np.where(on_count == 0, WINDOW_OFF, WINDOW_MIXED))
+
+
+@st.composite
+def _window_cases(draw):
+    """(rate, n, window_length, hop, t_start, t_end, extra samples) for
+    `classify_windows`, with interval ends on sample times i / rate, one
+    float step off them, or on decimals such as 0.1 that no float holds."""
+    rate = draw(st.sampled_from([3, 7, 10, 1000, 8192, 44100])
+                | st.integers(min_value=1, max_value=10 ** 6))
+    n = draw(st.integers(min_value=4, max_value=3000))
+    sample_time = st.integers(min_value=0, max_value=n).map(lambda i: i / rate)
+    end = st.one_of(
+        sample_time,
+        st.tuples(sample_time, st.sampled_from([-math.inf, math.inf])).map(
+            lambda a: math.nextafter(*a)),
+        st.integers(min_value=0, max_value=10 * n).map(lambda k: k / 10.0),
+        st.integers(min_value=0, max_value=1000 * n).map(lambda k: k / 1000.0))
+    t_start, t_end = sorted((draw(end), draw(end)))
+    return (rate, n, draw(st.sampled_from([2, 4, 64, 256])),
+            draw(st.integers(min_value=1, max_value=300)), t_start, t_end,
+            draw(st.integers(min_value=0, max_value=300)))
+
+
+# Each end of these needs its rounding correction: ceil(4.03 * 1000) is 4031
+# and floor(32.3 * 1000) is 32299, but samples 4030 and 32300 fall on 4.03
+# and 32.3 exactly in float; at 3 Hz, ceil and floor give samples 1 and 5,
+# whose times lie just below and just above the two ends.
+@settings(derandomize=True, deadline=None)
+@given(case=_window_cases())
+@example(case=(1000, 33000, 64, 1, 4.03, 32.3, 0))
+@example(case=(3, 8, 2, 1, math.nextafter(1 / 3, 1.0), math.nextafter(5 / 3, 0.0), 0))
+def test_classify_windows_matches_mask(case):
+    rate, n, window_length, hop, t_start, t_end, extra = case
+    duration = n / rate
+    t_end = min(t_end, duration)
+    assume(0.0 <= t_start < t_end)
+    config = SignalConfig(sample_rate=rate, duration=duration, indicator_on=(t_start, t_end))
+    n_samples = n + extra   # a record may run past its config's duration
+    assume(n_samples >= window_length)
+    states = classify_windows(config, n_samples, window_length, hop)
+    assert np.array_equal(states, _mask_states(config, n_samples, window_length, hop))

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from statcomplex import (
     write_samples,
     write_series_csv,
 )
+from statcomplex import sigproc
 from statcomplex.sigproc import WINDOW_MIXED, WINDOW_OFF, WINDOW_ON
 
 TV = ComplexityKind.TV
@@ -257,6 +260,102 @@ def test_series_matches_scalar_oracle(kind, hop):
     assert silent.any()
     assert np.all(series.c_values[silent] == 0.0)
     assert np.array_equal(series.decisions, series.c_values > series.threshold)
+
+
+def _engine_record(n_windows, hop):
+    """Tone in noise covering `n_windows` windows, with all-zero samples
+    over [N, 3N) where the record reaches that far."""
+    x = np.cos(2.0 * np.pi * 200 * np.arange(N + (n_windows - 1) * hop) / N)
+    x += np.random.default_rng(n_windows).normal(size=x.size)
+    x[N:3 * N] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("kind", list(ComplexityKind))
+@pytest.mark.parametrize("hop", [64, 1000, 2048])
+def test_series_threads_match_one_batch(monkeypatch, kind, hop):
+    # every split into threads and chunks gives the values of one batch
+    # over all frames, bit for bit, also with more threads than cores
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n_windows in (1, 31, 32, 33, 63, 64, 65, 128, 129, 1505):
+            x = _engine_record(n_windows, hop)
+            frames = sigproc._frames(sigproc._prescale(x), N, hop)
+            ref = sigproc._batch_complexity(frames, kind)
+            if hop == 64 and n_windows >= 129:
+                assert (ref == 0.0).any()
+            for cpus in (1, 2, 3, 4):
+                monkeypatch.setattr(sigproc, "_usable_cpus", lambda: cpus)
+                c = complexity_series(x, window_length=N, hop=hop, kind=kind).c_values
+                assert np.array_equal(c, ref), (n_windows, cpus)
+    finally:
+        sys.setswitchinterval(switch)
+    monkeypatch.setattr(sigproc, "_usable_cpus", lambda: 4)
+    silent = complexity_series(np.zeros(N + 300 * hop), window_length=N, hop=hop, kind=kind)
+    assert len(silent) == 301 and np.all(silent.c_values == 0.0)
+
+
+def test_series_threads_per_record_size(monkeypatch):
+    # up to one chunk of windows runs on the calling thread alone; beyond
+    # it, one thread per usable CPU, at most 128 / 32, each taking chunks
+    # of 128 / threads windows
+    counts, calls = [], []
+    run_threads, batch = sigproc._run_threads, sigproc._batch_complexity
+
+    def counting(work, count):
+        counts.append(count)
+        run_threads(work, count)
+
+    def recording(frames, kind, buffers=None):
+        calls.append((threading.get_ident(), frames.shape[0]))
+        return batch(frames, kind, buffers)
+
+    monkeypatch.setattr(sigproc, "_run_threads", counting)
+    monkeypatch.setattr(sigproc, "_batch_complexity", recording)
+    for cpus, n_windows, threads, chunk in ((8, 128, 1, 128), (1, 1505, 1, 128),
+                                            (2, 129, 2, 64), (3, 1505, 3, 42),
+                                            (8, 1505, 4, 32)):
+        monkeypatch.setattr(sigproc, "_usable_cpus", lambda: cpus)
+        counts.clear()
+        calls.clear()
+        complexity_series(np.ones(N + (n_windows - 1) * 64), window_length=N, hop=64)
+        assert counts == [threads]
+        assert max(rows for _, rows in calls) == chunk
+        assert sum(rows for _, rows in calls) == n_windows
+        if threads == 1:
+            assert {ident for ident, _ in calls} == {threading.get_ident()}
+
+
+class _PlantedError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_series_thread_error_reaches_caller(monkeypatch, where):
+    # the named side raises on its third chunk, and the other side waits
+    # for that before its first, so each case is sure to happen
+    monkeypatch.setattr(sigproc, "_usable_cpus", lambda: 4)
+    batch = sigproc._batch_complexity
+    caller = threading.get_ident()
+    local = threading.local()
+    raised = threading.Event()
+
+    def failing(frames, kind, buffers=None):
+        local.calls = getattr(local, "calls", 0) + 1
+        if (threading.get_ident() == caller) == (where == "caller"):
+            if local.calls == 3:
+                raised.set()
+                raise _PlantedError(where)
+        elif local.calls == 1:
+            assert raised.wait(timeout=30)
+        return batch(frames, kind, buffers)
+
+    monkeypatch.setattr(sigproc, "_batch_complexity", failing)
+    before = threading.active_count()
+    with pytest.raises(_PlantedError, match=where):
+        complexity_series(np.ones(N + 1504 * 64), window_length=N, hop=64)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("kind", list(ComplexityKind))
