@@ -279,6 +279,8 @@ class WindowSeries:
 _CHUNK_WINDOWS = 128
 # Fewest windows per batch when the 128 are split between threads.
 _MIN_THREAD_WINDOWS = 32
+# Smallest work block, in float64 values (2 MiB); see _spectrum_buffers.
+_MIN_BLOCK = 1 << 18
 
 
 def _check_record(samples, window_length) -> np.ndarray:
@@ -330,18 +332,26 @@ def _spectrum_buffers(rows: int, window_length: int, sets: int = 1) -> list:
     """`sets` sets of work arrays for `_batch_complexity` on up to `rows`
     windows: the rfft output, the power spectrum and the `rows_c` scratch.
 
-    All are views of one allocation.  glibc hands the top of its heap back
-    to the system when a free leaves more than twice its largest recent
-    block unused there.  Separate arrays, freed together at the end of a
-    call, did that, and every call faulted its buffers in again.
+    All are views of one block; the scratch lies over the rfft output,
+    which is spent once the power is taken.  The block holds at least
+    `_MIN_BLOCK` values, and rows a call leaves unused are never touched,
+    so they cost address space but no memory.  The floor is for glibc,
+    which hands the top of its heap back to the system when a free leaves
+    more there than twice the largest block it has unmapped.  A block
+    sized to a short record's rows can put what one call frees close to
+    that limit, and then whether each call faults its memory in again
+    depends on the heap's history.  With a 2 MiB floor, a `detect` call
+    on a 10 s record at 8192 Hz frees about 3.3 MiB against a limit of
+    4 MiB.  The floor adds at most 2 MiB to the resident memory, and only
+    where later allocations reuse the untouched part.
     """
     shape = (rows, window_length // 2 + 1)
     size = shape[0] * shape[1]
-    block = np.empty(4 * size * sets)
+    block = np.empty(max(3 * size * sets, _MIN_BLOCK))
     return [(block[i:i + 2 * size].view(np.complex128).reshape(shape),
              block[i + 2 * size:i + 3 * size].reshape(shape),
-             block[i + 3 * size:i + 4 * size].reshape(shape))
-            for i in range(0, block.size, 4 * size)]
+             block[i:i + size].reshape(shape))
+            for i in range(0, 3 * size * sets, 3 * size)]
 
 
 def _batch_complexity(frames: np.ndarray, kind: ComplexityKind, buffers=None) -> np.ndarray:

@@ -358,6 +358,21 @@ def test_series_thread_error_reaches_caller(monkeypatch, where):
     assert threading.active_count() == before
 
 
+def test_spectrum_buffers_layout():
+    # every set's arrays are views of one block of at least _MIN_BLOCK
+    # values; only a set's scratch and its own rfft output share memory
+    for rows, length, sets in ((1, 4, 1), (40, N, 1), (64, N, 2), (32, 4096, 4)):
+        buffers = sigproc._spectrum_buffers(rows, length, sets)
+        block = buffers[0][0].base
+        assert len(buffers) == sets and block.size >= sigproc._MIN_BLOCK
+        arrays = [a for s in buffers for a in s]
+        for a in arrays:
+            assert a.shape == (rows, length // 2 + 1) and a.base is block
+        for i, a in enumerate(arrays):
+            for j, b in enumerate(arrays[:i]):
+                assert np.shares_memory(a, b) == (i == j + 2 and i % 3 == 2), (i, j)
+
+
 @pytest.mark.parametrize("kind", list(ComplexityKind))
 def test_series_extreme_amplitudes(kind):
     x = synthesize(reference_config(3, seed=0))
