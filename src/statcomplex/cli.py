@@ -27,9 +27,9 @@ from .complexity import (ComplexityKind, write_family_grid_csv,
 from .errors import DataShapeError, RangeError
 from .optimize import _TABLE_SIZES, build_optimum_table, threshold, write_table_csv
 from .rows import round6, write_json
-from .sigproc import (WINDOW_OFF, WINDOW_ON, SignalConfig, detect,
-                      read_samples, reference_config, synthesize,
-                      write_report_json, write_samples, write_series_csv)
+from .sigproc import (SignalConfig, detect, read_samples, reference_config,
+                      synthesize, write_report_json, write_samples,
+                      write_series_csv)
 
 _DEMO_EXPERIMENTS = {"k3": 3, "k30": 30}
 
@@ -64,10 +64,7 @@ def _out_dir(args) -> Path:
 
 def _load_signal_config(path, seed_override=None) -> SignalConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise RangeError("signal config must be a JSON object")
-    cfg = SignalConfig.from_dict(raw)
+        cfg = SignalConfig.from_dict(json.load(fh))
     if seed_override is not None:
         cfg = dataclasses.replace(cfg, seed=seed_override)
     return cfg
@@ -146,12 +143,11 @@ def cmd_detect(args) -> int:
     write_series_csv(series_path, report.series)
     write_report_json(report_path, report,
                       include_distributions=args.include_distributions)
-    m = report.metrics
-    hit = m.hit_rate_on_interval
-    fa = m.false_alarm_rate_off_interval
+    m = report.metrics.to_dict()
     print(f"threshold: {report.threshold:.6g}")
-    print(f"hit rate (on-interval): {'n/a' if math.isnan(hit) else format(hit, '.6g')}")
-    print(f"false alarms (off-interval): {'n/a' if math.isnan(fa) else format(fa, '.6g')}")
+    for label, key in (("hit rate (on-interval)", "hit_rate_on_interval"),
+                       ("false alarms (off-interval)", "false_alarm_rate_off_interval")):
+        print(f"{label}: {'n/a' if m[key] is None else format(m[key], '.6g')}")
     print(f"wrote {series_path}")
     print(f"wrote {report_path}")
     return 0
@@ -177,8 +173,7 @@ def cmd_demo(args) -> int:
                        for k in kinds},
         "per_seed": [],
     }
-    sums_on = {k.value: 0.0 for k in kinds}
-    sums_off = {k.value: 0.0 for k in kinds}
+    metrics = {k.value: [] for k in kinds}
     written = []
     for seed in seeds:
         cfg = reference_config(n_components, seed=seed, window_length=window_length)
@@ -190,25 +185,13 @@ def cmd_demo(args) -> int:
             series_path = out_dir / f"series_{kind.value}_seed{seed}.csv"
             write_series_csv(series_path, report.series)
             written.append(series_path)
-            c = report.series.c_values
-            on = report.states == WINDOW_ON
-            off = report.states == WINDOW_OFF
-            mean_on = float(c[on].mean()) if on.any() else math.nan
-            mean_off = float(c[off].mean()) if off.any() else math.nan
-            met = report.metrics
-            seed_entry["kinds"][kind.value] = {
-                "hit_rate_on_interval": round6(met.hit_rate_on_interval),
-                "false_alarm_rate_off_interval": round6(met.false_alarm_rate_off_interval),
-                "mean_c_on": round6(mean_on),
-                "mean_c_off": round6(mean_off),
-            }
-            sums_on[kind.value] += mean_on
-            sums_off[kind.value] += mean_off
+            metrics[kind.value].append(report.metrics)
+            entry = report.metrics.to_dict()
+            seed_entry["kinds"][kind.value] = {k: entry[k] for k in report.metrics.STATISTICS}
         summary["per_seed"].append(seed_entry)
-    summary["mean_on_interval_c"] = {
-        k: round6(v / len(seeds)) for k, v in sums_on.items()}
-    summary["mean_off_interval_c"] = {
-        k: round6(v / len(seeds)) for k, v in sums_off.items()}
+    for name, mean in (("mean_on_interval_c", "mean_c_on"), ("mean_off_interval_c", "mean_c_off")):
+        summary[name] = {k: round6(sum(getattr(m, mean) for m in ms) / len(seeds))
+                         for k, ms in metrics.items()}
     summary_path = out_dir / "summary.json"
     write_json(summary_path, summary)
     for path in written:

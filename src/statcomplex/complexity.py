@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, measures
-from .dist import DiscreteDistribution, FamilyPoint, spike_family, uniform
+from .dist import FamilyPoint, spike_family
 from .errors import DimensionError, FamilyError, RangeError
 from .kernels import ComplexityKind
 from .rows import write_rows
@@ -26,18 +26,19 @@ from .rows import write_rows
 
 def disequilibrium(dist, kind: ComplexityKind) -> float:
     """Distance of `dist` from the uniform reference, per `kind`."""
-    p = np.asarray(dist.probs if isinstance(dist, DiscreteDistribution) else dist, dtype=np.float64)
-    ref = uniform(p.size)
+    dist = measures._distribution(dist)
     if kind is ComplexityKind.SQ:
-        return measures.disequilibrium_sq(p)
+        return measures.disequilibrium_sq(dist)
+    p, ref = dist.probs, np.full(dist.n, 1.0 / dist.n)
     if kind is ComplexityKind.TV:
-        tv = measures.total_variation(p, ref.probs)
+        tv = measures._total_variation(p, ref)
         return tv * tv
-    return measures.jsd(p, ref.probs, unit="bits")
+    return measures._jsd_nats(p, ref) * measures._unit_scale("bits")
 
 
 def complexity_value(dist, kind: ComplexityKind = ComplexityKind.SQ) -> float:
     """C = normalized entropy times disequilibrium of the chosen kind."""
+    dist = measures._distribution(dist)
     return measures.entropy_normalized(dist) * disequilibrium(dist, kind)
 
 

@@ -26,14 +26,15 @@ from .errors import DimensionError, RangeError, SupportError
 LN2 = math.log(2.0)
 
 
-def _probs(d: DiscreteDistribution) -> np.ndarray:
+def _distribution(d) -> DiscreteDistribution:
+    """`d` validated; a DiscreteDistribution is valid already and comes back as it is."""
     if not isinstance(d, DiscreteDistribution):
         d = DiscreteDistribution(np.asarray(d, dtype=np.float64))
-    return d.probs
+    return d
 
 
 def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
-    a, b = _probs(p), _probs(q)
+    a, b = _distribution(p).probs, _distribution(q).probs
     if a.size != b.size:
         raise DimensionError(f"dimension mismatch: {a.size} vs {b.size}")
     return a, b
@@ -55,7 +56,7 @@ def entropy_normalized(p) -> float:
 
     Base-free: uniform inputs give exactly 1, one-hot inputs exactly 0.
     """
-    arr = _probs(p)
+    arr = _distribution(p).probs
     h = _neg_plogp(arr) / math.log(arr.size)
     # guard the [0, 1] contract against last-ulp float excess
     return min(max(h, 0.0), 1.0)
@@ -63,13 +64,16 @@ def entropy_normalized(p) -> float:
 
 def disequilibrium_sq(p) -> float:
     """Squared Euclidean distance to the uniform reference, sum (p_i - 1/n)^2."""
-    arr = _probs(p)
+    arr = _distribution(p).probs
     return float(((arr - 1.0 / arr.size) ** 2).sum())
 
 
 def total_variation(p, q) -> float:
     """Total variation distance, half the L1 distance; in [0, 1]."""
-    a, b = _pair(p, q)
+    return _total_variation(*_pair(p, q))
+
+
+def _total_variation(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.abs(a - b).sum())
 
 
@@ -98,14 +102,17 @@ def jsd(p, q, unit: str = "bits") -> float:
     log 2 in the chosen unit, and bounded above by total_variation(p, q)
     when evaluated in nats.
     """
-    a, b = _pair(p, q)
+    return _jsd_nats(*_pair(p, q)) * _unit_scale(unit)
+
+
+def _jsd_nats(a: np.ndarray, b: np.ndarray) -> float:
     m = 0.5 * (a + b)
     v_nats = _neg_plogp(m) - 0.5 * (_neg_plogp(a) + _neg_plogp(b))
     # mathematically 0 <= v <= ln 2 * TV: each state's term is (a_i + b_i)/4
     # times phi(t) = (1 + t) ln(1 + t) + (1 - t) ln(1 - t), t = (a_i - b_i)/(a_i + b_i),
     # and phi, convex with phi(0) = 0 and phi(1) = 2 ln 2, lies below 2 ln 2 |t|.
     # Clip the float residue near-identical inputs leave outside those bounds.
-    return min(max(v_nats, 0.0), LN2 * total_variation(a, b)) * _unit_scale(unit)
+    return min(max(v_nats, 0.0), LN2 * _total_variation(a, b))
 
 
 def kl_divergence(p, q) -> float:

@@ -16,9 +16,12 @@ can be re-noised and vice versa.
 from __future__ import annotations
 
 import math
+import operator
 import os
+import reprlib
 import threading
 import wave
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +55,32 @@ def _check_sample_rate(sr) -> None:
 # configuration
 # ---------------------------------------------------------------------------
 
+def _from_json(d, what: str, converters: dict) -> dict:
+    """The keys of the JSON object `d`, each through its converter; a RangeError
+    names a key whose value the converter refuses.  Ranges are the constructor's."""
+    if not isinstance(d, dict):
+        raise RangeError(f"{what} must be a JSON object, got {reprlib.repr(d)}")
+    unknown = set(d) - set(converters)
+    if unknown:
+        raise RangeError(f"unknown {what} keys: {sorted(unknown)}")
+    values = {}
+    for key, value in d.items():
+        try:
+            values[key] = converters[key](value)
+        except (TypeError, ValueError, OverflowError):
+            raise RangeError(
+                f"{what} key {key!r} has a malformed value {reprlib.repr(value)}") from None
+    return values
+
+
+def _interval(value):
+    """A pair of times as floats; None (the whole record) stays None."""
+    if value is None:
+        return None
+    start, end = value
+    return float(start), float(end)
+
+
 @dataclass(frozen=True)
 class HarmonicComponent:
     """One cosine: amplitude * cos(2 pi frequency t + phase)."""
@@ -67,19 +96,15 @@ class HarmonicComponent:
             raise RangeError("component amplitude must be finite and >= 0")
 
     def to_dict(self) -> dict:
-        return {"amplitude": self.amplitude, "frequency": self.frequency,
-                "phase": self.phase}
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "HarmonicComponent":
-        unknown = set(d) - {"amplitude", "frequency", "phase"}
-        if unknown:
-            raise RangeError(f"unknown component keys: {sorted(unknown)}")
-        if "frequency" not in d:
+        values = _from_json(d, "component",
+                            {"amplitude": float, "frequency": float, "phase": float})
+        if "frequency" not in values:
             raise RangeError("component needs a frequency")
-        return cls(amplitude=float(d.get("amplitude", 1.0)),
-                   frequency=float(d["frequency"]),
-                   phase=float(d.get("phase", 0.0)))
+        return cls(**{"amplitude": 1.0, **values})
 
 
 @dataclass(frozen=True)
@@ -101,15 +126,11 @@ class SignalConfig:
         if not self.sample_rate * self.duration <= _MAX_SAMPLES:
             raise RangeError(f"record of {self.sample_rate * self.duration:.6g} samples "
                              f"exceeds the cap of {_MAX_SAMPLES} samples")
-        if self.noise_sigma < 0.0:
-            raise RangeError("noise level must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise RangeError(f"noise level must be finite and >= 0, got {self.noise_sigma!r}")
         object.__setattr__(self, "components", tuple(self.components))
-        if self.indicator_on is None:
-            object.__setattr__(self, "indicator_on", (0.0, float(self.duration)))
-        else:
-            object.__setattr__(self, "indicator_on",
-                               (float(self.indicator_on[0]), float(self.indicator_on[1])))
-        t_start, t_end = self.indicator_on
+        t_start, t_end = _interval(self.indicator_on) or (0.0, float(self.duration))
+        object.__setattr__(self, "indicator_on", (t_start, t_end))
         if not 0.0 <= t_start < t_end <= self.duration:
             raise RangeError("indicator interval must satisfy 0 <= start < end <= duration")
         nyquist = self.sample_rate / 2.0
@@ -137,30 +158,18 @@ class SignalConfig:
         return self.signal_power / self.noise_sigma ** 2
 
     def to_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "duration": self.duration,
-            "components": [c.to_dict() for c in self.components],
-            "noise_sigma": self.noise_sigma,
-            "indicator_on": list(self.indicator_on),
-            "seed": self.seed,
-        }
+        return {**vars(self), "components": [c.to_dict() for c in self.components]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SignalConfig":
-        allowed = {"sample_rate", "duration", "components", "noise_sigma",
-                   "indicator_on", "seed"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise RangeError(f"unknown config keys: {sorted(unknown)}")
-        if "sample_rate" not in d or "duration" not in d:
+        values = _from_json(d, "config", {
+            # operator.pos takes numbers only, and keeps an int exact
+            "sample_rate": operator.pos, "duration": float, "components": list,
+            "noise_sigma": float, "indicator_on": _interval, "seed": int})
+        if "sample_rate" not in values or "duration" not in values:
             raise RangeError("config needs sample_rate and duration")
-        comps = tuple(HarmonicComponent.from_dict(c) for c in d.get("components", ()))
-        indicator = d.get("indicator_on")
-        return cls(sample_rate=d["sample_rate"], duration=float(d["duration"]),
-                   components=comps, noise_sigma=float(d.get("noise_sigma", 0.0)),
-                   indicator_on=None if indicator is None else tuple(indicator),
-                   seed=int(d.get("seed", 0)))
+        values["components"] = tuple(map(HarmonicComponent.from_dict, values.get("components", ())))
+        return cls(**values)
 
 
 def reference_config(n_components: int, seed: int = 0, sample_rate: int = 8192,
@@ -195,6 +204,8 @@ def reference_config(n_components: int, seed: int = 0, sample_rate: int = 8192,
     if noise_sigma is None:
         if n_components == 0:
             raise RangeError("a component-free record needs an explicit noise level")
+        if not snr > 0.0:
+            raise RangeError(f"signal-to-noise ratio must be positive, got {snr!r}")
         noise_sigma = math.sqrt(n_components * amplitude ** 2 / (2.0 * snr))
     return SignalConfig(sample_rate=sample_rate, duration=duration, components=comps,
                         noise_sigma=noise_sigma, indicator_on=tuple(indicator_on),
@@ -495,28 +506,19 @@ def _on_range(config: SignalConfig, n: int):
     `indicator_mask` marks on: t_start <= i / rate <= t_end in float64.
 
     i / rate is correctly rounded, so it never decreases with i and the on
-    samples are contiguous.  Rounding moves an end by at most one sample
-    from ceil(t_start * rate) or floor(t_end * rate), and the loops settle
-    it with the mask's own comparisons.
+    samples are contiguous.  Both ends are found by bisection on the mask's
+    own comparisons, so they are exact however the interval's ends round.
     """
     rate = config.sample_rate
     t_start, t_end = config.indicator_on
-    lo = math.ceil(t_start * rate)
-    while lo > 0 and (lo - 1) / rate >= t_start:
-        lo -= 1
-    while lo / rate < t_start:
-        lo += 1
-    last = math.floor(t_end * rate)
-    while (last + 1) / rate <= t_end:
-        last += 1
-    while last >= 0 and last / rate > t_end:
-        last -= 1
-    return min(lo, n), min(last + 1, n)
+    return (bisect_left(range(n), t_start, key=lambda i: i / rate),
+            bisect_right(range(n), t_end, key=lambda i: i / rate))
 
 
 def classify_windows(config: SignalConfig, n_samples: int, window_length: int,
                      hop: int) -> np.ndarray:
-    """Sample-exact window states: fully inside the on-interval, fully outside, or mixed."""
+    """Sample-exact window states (fully on, fully off or mixed) from each window's
+    overlap with `_on_range`, the samples that `indicator_mask` marks on."""
     lo, hi = _on_range(config, n_samples)
     starts = np.arange((n_samples - window_length) // hop + 1) * hop
     on_count = np.minimum(starts + window_length, hi) - np.maximum(starts, lo)
@@ -526,12 +528,20 @@ def classify_windows(config: SignalConfig, n_samples: int, window_length: int,
 
 @dataclass(frozen=True)
 class DetectionMetrics:
+    """Window counts per state and decision, and the mean C of the on and
+    off windows; a rate or mean over an empty class is NaN."""
+
     n_windows: int
     n_on: int
     n_off: int
     n_mixed: int
     n_hit: int
     n_false_alarm: int
+    mean_c_on: float
+    mean_c_off: float
+
+    STATISTICS = ("hit_rate_on_interval", "false_alarm_rate_off_interval",
+                  "mean_c_on", "mean_c_off")
 
     @property
     def hit_rate_on_interval(self) -> float:
@@ -540,6 +550,14 @@ class DetectionMetrics:
     @property
     def false_alarm_rate_off_interval(self) -> float:
         return self.n_false_alarm / self.n_off if self.n_off else math.nan
+
+    def to_dict(self) -> dict:
+        """The counts, then `STATISTICS` to 6 significant digits (None for an empty class)."""
+        out = {k: v for k, v in vars(self).items() if k not in self.STATISTICS}
+        for name in self.STATISTICS:
+            value = getattr(self, name)
+            out[name] = None if math.isnan(value) else round6(value)
+        return out
 
 
 @dataclass
@@ -570,6 +588,7 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
     series = _window_series(x, window_length, window_length, kind, gamma, config.sample_rate)
     states = classify_windows(config, x.size, window_length, window_length)
     decisions = series.decisions
+    c = series.c_values
     on = states == WINDOW_ON
     off = states == WINDOW_OFF
     metrics = DetectionMetrics(
@@ -579,6 +598,8 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
         n_mixed=int((states == WINDOW_MIXED).sum()),
         n_hit=int((decisions & on).sum()),
         n_false_alarm=int((decisions & off).sum()),
+        mean_c_on=float(c[on].mean()) if on.any() else math.nan,
+        mean_c_off=float(c[off].mean()) if off.any() else math.nan,
     )
     return DetectionReport(config=config, kind=kind, threshold=float(gamma),
                            series=series, states=states, metrics=metrics, samples=x)
@@ -654,26 +675,13 @@ def write_series_csv(path, series: WindowSeries) -> None:
 
 
 def report_to_dict(report: DetectionReport, include_distributions: bool = False) -> dict:
-    m = report.metrics
     series = report.series
     payload = {
         "kind": report.kind.value,
         "window_length": series.window_length,
         "threshold": round6(report.threshold),
         "config": report.config.to_dict(),
-        "metrics": {
-            "n_windows": m.n_windows,
-            "n_on": m.n_on,
-            "n_off": m.n_off,
-            "n_mixed": m.n_mixed,
-            "n_hit": m.n_hit,
-            "n_false_alarm": m.n_false_alarm,
-            "hit_rate_on_interval": (None if math.isnan(m.hit_rate_on_interval)
-                                     else round6(m.hit_rate_on_interval)),
-            "false_alarm_rate_off_interval": (
-                None if math.isnan(m.false_alarm_rate_off_interval)
-                else round6(m.false_alarm_rate_off_interval)),
-        },
+        "metrics": report.metrics.to_dict(),
         "windows": [
             {
                 "t_center": round6(t),

@@ -190,6 +190,23 @@ def test_synth_huge_sample_rate_exit_3(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
 
+@pytest.mark.parametrize("argv", [["--sigma", "nan"], ["--sigma", "inf"],
+                                  ["--sigma", "-1"], ["--snr", "0"], ["--snr", "-1"],
+                                  ["--snr", "nan"]])
+def test_synth_bad_noise_exit_3(tmp_path, capsys, argv):
+    assert main(["synth", *argv, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "noise level must be" in err or "signal-to-noise ratio must be positive" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_infinite_snr_is_clean(tmp_path, capsys):
+    assert main(["synth", "--snr", "inf", "--out-dir", str(tmp_path)]) == 0
+    assert "effective SNR: inf" in capsys.readouterr().out
+    assert json.loads((tmp_path / "config.json").read_text())["noise_sigma"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # detect
 # ---------------------------------------------------------------------------
@@ -263,6 +280,37 @@ def test_detect_bad_sample_files_exit_4(synth_dir, tmp_path, capsys):
     assert "float64 samples" in capsys.readouterr().err
 
 
+_GOOD_CONFIG = {"sample_rate": 8192, "duration": 1.0,
+                "components": [{"amplitude": 1.0, "frequency": 440.0}],
+                "noise_sigma": 0.1, "indicator_on": [0.25, 0.75], "seed": 3}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("duration", None, "config key 'duration'"),
+    ("sample_rate", None, "config key 'sample_rate'"),
+    ("sample_rate", "8192", "config key 'sample_rate'"),
+    ("seed", None, "config key 'seed'"),
+    ("noise_sigma", [1], "config key 'noise_sigma'"),
+    ("noise_sigma", float("nan"), "noise level must be finite"),
+    ("indicator_on", 5, "config key 'indicator_on'"),
+    ("indicator_on", [1], "config key 'indicator_on'"),
+    ("components", 5, "config key 'components'"),
+    ("components", [1], "component must be a JSON object"),
+    ("components", [{"frequency": None}], "component key 'frequency'"),
+    ("components", [{"frequency": 440.0, "phase": []}], "component key 'phase'"),
+])
+def test_detect_malformed_config_exit_3(tmp_path, capsys, key, value, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_GOOD_CONFIG, key: value}))
+    out = tmp_path / "out"
+    assert main(["detect", "--input", str(tmp_path / "x.f64"), "--config", str(config),
+                 "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("length", ["2", "1000"])
 def test_detect_bad_window_length_exit_3(synth_dir, tmp_path, capsys, length):
     assert main(["detect", "--input", str(synth_dir / "samples.f64"),
@@ -286,6 +334,25 @@ def test_demo_single_seed(tmp_path):
     assert summary["thresholds"]["sq"] == pytest.approx(0.046527, abs=1e-6)
     tv_entry = summary["per_seed"][0]["kinds"]["tv"]
     assert tv_entry["hit_rate_on_interval"] == 1.0
+
+
+def test_demo_entry_matches_detect_report(tmp_path):
+    # demo's per-kind entry is detect's report metrics for the same record and kind
+    assert main(["demo", "--experiment", "k3", "--seeds", "0",
+                 "--out-dir", str(tmp_path / "demo")]) == 0
+    summary = json.loads((tmp_path / "demo" / "summary.json").read_text())
+    entries = summary["per_seed"][0]["kinds"]
+    assert main(["synth", "--components", "3", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    for kind in ("sq", "jsd", "tv"):
+        assert list(entries[kind]) == ["hit_rate_on_interval", "false_alarm_rate_off_interval",
+                                       "mean_c_on", "mean_c_off"]
+        assert main(["detect", "--input", str(tmp_path / "samples.f64"),
+                     "--config", str(tmp_path / "config.json"), "--kind", kind,
+                     "--out-dir", str(tmp_path / kind)]) == 0
+        metrics = json.loads((tmp_path / kind / "report.json").read_text())["metrics"]
+        assert entries[kind] == {key: metrics[key] for key in entries[kind]}
+        assert summary["mean_on_interval_c"][kind] == metrics["mean_c_on"]
+        assert summary["mean_off_interval_c"][kind] == metrics["mean_c_off"]
 
 
 def test_demo_deterministic(tmp_path):

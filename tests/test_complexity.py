@@ -6,6 +6,7 @@ import pytest
 from statcomplex import (
     ComplexityKind,
     DimensionError,
+    DiscreteDistribution,
     FamilyError,
     FamilyEvaluation,
     FamilyPoint,
@@ -20,6 +21,7 @@ from statcomplex import (
     family_complexity_direct,
     family_eval,
     family_surface,
+    jsd,
     jsd_generator,
     simplex3_surface,
     spike_family,
@@ -96,6 +98,24 @@ def test_value_ranges():
         assert 0.0 <= c_sq(p) <= 1.0 - 1.0 / n
         assert 0.0 <= c_tv(p) < 1.0
         assert 0.0 <= c_jsd(p) <= 1.0
+
+
+def test_scalar_reference_validates_each_input_once(monkeypatch):
+    calls = []
+    original = DiscreteDistribution.__post_init__
+    monkeypatch.setattr(DiscreteDistribution, "__post_init__",
+                        lambda self: calls.append(self) or original(self))
+    rng = np.random.default_rng(3)
+    p, q = rng.dirichlet(np.ones(64)), rng.dirichlet(np.ones(64))
+    dist = DiscreteDistribution(p)
+    for kind in KINDS:
+        for arg, constructions in ((p, 1), (dist, 0)):
+            calls.clear()
+            complexity_value(arg, kind)
+            assert len(calls) == constructions, kind
+    calls.clear()
+    jsd(p, q)
+    assert len(calls) == 2
 
 
 def test_disequilibrium_examples():

@@ -47,8 +47,9 @@ def test_config_validation():
     with pytest.raises(AliasingError):
         SignalConfig(sample_rate=8192, duration=1.0,
                      components=(HarmonicComponent(1.0, 4096.0),))
-    with pytest.raises(RangeError):
-        SignalConfig(sample_rate=8192, duration=1.0, noise_sigma=-0.5)
+    for sigma in (-0.5, math.nan, math.inf):
+        with pytest.raises(RangeError, match="noise level must be finite and >= 0"):
+            SignalConfig(sample_rate=8192, duration=1.0, noise_sigma=sigma)
     with pytest.raises(RangeError):
         SignalConfig(sample_rate=8192, duration=1.0, indicator_on=(0.5, 2.0))
     with pytest.raises(RangeError):
@@ -110,6 +111,11 @@ def test_reference_config_validation():
     reference_config(0, noise_sigma=1.0)
     with pytest.raises(RangeError):
         reference_config(3, window_length=1000)
+    for snr in (0.0, -1.0, math.nan):
+        with pytest.raises(RangeError, match="signal-to-noise ratio must be positive"):
+            reference_config(3, snr=snr)
+    assert reference_config(3, snr=math.inf).noise_sigma == 0.0
+    assert reference_config(3, snr=0.0, noise_sigma=0.5).noise_sigma == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +455,9 @@ def test_detect_reference_seed0():
     assert (m.n_windows, m.n_on, m.n_off, m.n_mixed) == (40, 16, 23, 1)
     assert m.n_hit == 16 and m.hit_rate_on_interval == 1.0
     assert m.n_false_alarm == 0 and m.false_alarm_rate_off_interval == 0.0
+    c = report.series.c_values
+    assert m.mean_c_on == np.mean(c[report.states == WINDOW_ON])
+    assert m.mean_c_off == np.mean(c[report.states == WINDOW_OFF])
 
 
 def test_detect_pure_noise_rarely_flags():
@@ -470,6 +479,9 @@ def test_detect_rate_is_none_when_class_empty(tmp_path):
     assert math.isnan(report.metrics.false_alarm_rate_off_interval)
     payload = report_to_dict(report)
     assert payload["metrics"]["false_alarm_rate_off_interval"] is None
+    assert math.isnan(report.metrics.mean_c_off)
+    assert payload["metrics"]["mean_c_off"] is None
+    assert payload["metrics"]["mean_c_on"] == float(f"{report.metrics.mean_c_on:.6g}")
 
 
 def test_detect_fraction_validation():
