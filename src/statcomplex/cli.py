@@ -136,15 +136,15 @@ def cmd_detect(args) -> int:
             f"{cfg.sample_rate} Hz")
     kind = ComplexityKind.parse(args.kind)
     report = detect(x, cfg, kind=kind, fraction=args.fraction,
-                    window_length=args.window_length)
+                    window_length=args.window_length,
+                    include_distributions=args.include_distributions)
     out_dir = _out_dir(args)
     series_path = out_dir / "series.csv"
     report_path = out_dir / "report.json"
     write_series_csv(series_path, report.series)
-    write_report_json(report_path, report,
-                      include_distributions=args.include_distributions)
+    write_report_json(report_path, report)
     m = report.metrics.to_dict()
-    print(f"threshold: {report.threshold:.6g}")
+    print(f"threshold: {report.series.threshold:.6g}")
     for label, key in (("hit rate (on-interval)", "hit_rate_on_interval"),
                        ("false alarms (off-interval)", "false_alarm_rate_off_interval")):
         print(f"{label}: {'n/a' if m[key] is None else format(m[key], '.6g')}")

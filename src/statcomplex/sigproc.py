@@ -73,6 +73,13 @@ def _from_json(d, what: str, converters: dict) -> dict:
     return values
 
 
+def _json_int(value) -> int:
+    """A JSON integer; a float or a bool, which `int` would take, is refused."""
+    if type(value) is not int:
+        raise TypeError(value)
+    return value
+
+
 def _interval(value):
     """A pair of times as floats; None (the whole record) stays None."""
     if value is None:
@@ -94,6 +101,8 @@ class HarmonicComponent:
             raise RangeError("component frequency must be positive and finite")
         if self.amplitude < 0.0 or not math.isfinite(self.amplitude):
             raise RangeError("component amplitude must be finite and >= 0")
+        if not math.isfinite(self.phase):
+            raise RangeError("component phase must be finite")
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -165,7 +174,7 @@ class SignalConfig:
         values = _from_json(d, "config", {
             # operator.pos takes numbers only, and keeps an int exact
             "sample_rate": operator.pos, "duration": float, "components": list,
-            "noise_sigma": float, "indicator_on": _interval, "seed": int})
+            "noise_sigma": float, "indicator_on": _interval, "seed": _json_int})
         if "sample_rate" not in values or "duration" not in values:
             raise RangeError("config needs sample_rate and duration")
         values["components"] = tuple(map(HarmonicComponent.from_dict, values.get("components", ())))
@@ -365,6 +374,19 @@ def _spectrum_buffers(rows: int, window_length: int, sets: int = 1) -> list:
             for i in range(0, 3 * size * sets, 3 * size)]
 
 
+def _batch_spectra(frames: np.ndarray, buffers) -> tuple:
+    """Normalized power spectra of the rows of `frames` on the N/2 + 1 rfft bins, in
+    the power array of `buffers` (see `_batch_complexity`), and the all-zero rows."""
+    spectrum, p = (b[:len(frames)] for b in buffers[:2])
+    np.fft.rfft(frames, axis=1, out=spectrum)
+    np.abs(spectrum, out=p)
+    p *= p
+    total = _mirror_sum(p)
+    zero = total == 0.0
+    p /= np.where(zero, 1.0, total)[:, None]
+    return p, zero
+
+
 def _batch_complexity(frames: np.ndarray, kind: ComplexityKind, buffers=None) -> np.ndarray:
     """C of each row of `frames` over its normalized two-sided power spectrum.
 
@@ -376,14 +398,8 @@ def _batch_complexity(frames: np.ndarray, kind: ComplexityKind, buffers=None) ->
     rows, window_length = frames.shape
     if buffers is None:
         buffers = _spectrum_buffers(rows, window_length)[0]
-    spectrum, p, scratch = (b[:rows] for b in buffers)
-    np.fft.rfft(frames, axis=1, out=spectrum)
-    np.abs(spectrum, out=p)
-    p *= p
-    total = _mirror_sum(p)
-    zero = total == 0.0
-    p /= np.where(zero, 1.0, total)[:, None]
-    c = rows_c(kind, p, window_length, _mirror_sum, scratch)
+    p, zero = _batch_spectra(frames, buffers)
+    c = rows_c(kind, p, window_length, _mirror_sum, buffers[2][:rows])
     c[zero] = 0.0
     return c
 
@@ -445,13 +461,14 @@ def complexity_series(samples, window_length: int = 2048, hop: int = None,
         raise RangeError("sample rate must be positive")
     if threshold is None:
         threshold = complexity_threshold(kind, window_length)
-    return _window_series(x, window_length, hop, kind, threshold, sample_rate)
+    return _window_series(_frames(_prescale(x), window_length, hop), hop, kind, threshold,
+                          sample_rate)
 
 
-def _window_series(x: np.ndarray, window_length: int, hop: int, kind: ComplexityKind,
+def _window_series(frames: np.ndarray, hop: int, kind: ComplexityKind,
                    threshold: float, sample_rate: float) -> WindowSeries:
-    """The engine of `complexity_series`, on arguments it has validated:
-    `x` as `_check_record` returns it, a positive integer hop and rate.
+    """The engine of `complexity_series`, on arguments it has validated: the
+    `_frames` at `hop` of a checked, prescaled record, and a positive rate.
 
     A record of more than one chunk runs on one thread per usable CPU, the
     calling thread among them; numpy releases the interpreter lock in the
@@ -462,8 +479,7 @@ def _window_series(x: np.ndarray, window_length: int, hop: int, kind: Complexity
     the threads allocate no table-sized array: a thread's own allocations
     would stay in its own malloc arena and raise the peak resident memory.
     """
-    frames = _frames(_prescale(x), window_length, hop)
-    n_windows = frames.shape[0]
+    n_windows, window_length = frames.shape
     threads = 1
     if n_windows > _CHUNK_WINDOWS:
         threads = min(_usable_cpus(), _CHUNK_WINDOWS // _MIN_THREAD_WINDOWS)
@@ -562,30 +578,32 @@ class DetectionMetrics:
 
 @dataclass
 class DetectionReport:
-    """Windowed decisions against the ground truth carried by the config."""
+    """Windowed decisions against the config's ground truth; kind and threshold are the
+    series'.  `distributions`: each window's N/2 + 1 bins from `_batch_spectra`, or None."""
 
     config: SignalConfig
-    kind: ComplexityKind
-    threshold: float
     series: WindowSeries
     states: np.ndarray
     metrics: DetectionMetrics
-    samples: np.ndarray  # the analysed record, for rebuilding window spectra
+    distributions: np.ndarray = None
 
 
 def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.TV,
-           fraction: float = 0.25, window_length: int = 2048) -> DetectionReport:
+           fraction: float = 0.25, window_length: int = 2048,
+           include_distributions: bool = False) -> DetectionReport:
     """Threshold the windowed complexity of `samples` against `config`'s truth.
 
     The threshold is `fraction` of the maximum complexity attainable at
     alphabet size `window_length`.  Only windows fully inside the
     on-interval count toward the hit rate and only fully-outside windows
     toward the false-alarm rate; windows straddling an interval edge are
-    reported but excluded from both rates.
+    reported but excluded from both rates.  `include_distributions` keeps the
+    engine's spectra in the report, a window of zeros as uniform.
     """
     x = _check_record(samples, window_length)
     gamma = complexity_threshold(kind, window_length, fraction)
-    series = _window_series(x, window_length, window_length, kind, gamma, config.sample_rate)
+    frames = _frames(_prescale(x), window_length, window_length)
+    series = _window_series(frames, window_length, kind, gamma, config.sample_rate)
     states = classify_windows(config, x.size, window_length, window_length)
     decisions = series.decisions
     c = series.c_values
@@ -601,8 +619,12 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
         mean_c_on=float(c[on].mean()) if on.any() else math.nan,
         mean_c_off=float(c[off].mean()) if off.any() else math.nan,
     )
-    return DetectionReport(config=config, kind=kind, threshold=float(gamma),
-                           series=series, states=states, metrics=metrics, samples=x)
+    distributions = None
+    if include_distributions:
+        p, zero = _batch_spectra(frames, _spectrum_buffers(len(frames), window_length)[0])
+        distributions = np.where(zero[:, None], 1.0 / window_length, p)
+    return DetectionReport(config=config, series=series, states=states, metrics=metrics,
+                           distributions=distributions)
 
 
 # ---------------------------------------------------------------------------
@@ -652,11 +674,17 @@ def read_samples(path):
             raise DataShapeError(f"malformed sample value: {exc}") from exc
         return x, None
     if suffix == ".wav":
-        with wave.open(str(path), "rb") as wf:
-            if wf.getsampwidth() != 2 or wf.getnchannels() != 1:
-                raise DataShapeError("only mono 16-bit WAV records are supported")
-            rate = float(wf.getframerate())
-            frames = wf.readframes(wf.getnframes())
+        try:
+            with wave.open(str(path), "rb") as wf:
+                if wf.getsampwidth() != 2 or wf.getnchannels() != 1:
+                    raise DataShapeError("only mono 16-bit WAV records are supported")
+                rate = float(wf.getframerate())
+                frames = wf.readframes(wf.getnframes())
+                if len(frames) != 2 * wf.getnframes():
+                    raise DataShapeError(f"{path.name}: WAV data ends before its last frame")
+        except (wave.Error, EOFError) as exc:
+            raise DataShapeError(
+                f"{path.name}: malformed WAV file ({str(exc) or 'truncated'})") from None
         return np.frombuffer(frames, dtype="<i2").astype(np.float64) / 32768.0, rate
     if suffix in (".raw", ".bin", ".f64"):
         size = path.stat().st_size
@@ -674,12 +702,14 @@ def write_series_csv(path, series: WindowSeries) -> None:
                    map(int, series.decisions.tolist())))
 
 
-def report_to_dict(report: DetectionReport, include_distributions: bool = False) -> dict:
+def report_to_dict(report: DetectionReport) -> dict:
+    """The JSON document of `report`.  Its `"distributions"`, present when the report
+    holds them, are the N/2 + 1 bins with bins 1 .. N/2 - 1 mirrored out to N bins."""
     series = report.series
     payload = {
-        "kind": report.kind.value,
+        "kind": series.kind.value,
         "window_length": series.window_length,
-        "threshold": round6(report.threshold),
+        "threshold": round6(series.threshold),
         "config": report.config.to_dict(),
         "metrics": report.metrics.to_dict(),
         "windows": [
@@ -694,14 +724,11 @@ def report_to_dict(report: DetectionReport, include_distributions: bool = False)
                 series.decisions.tolist(), report.states.tolist())
         ],
     }
-    if include_distributions:
-        frames = _frames(_prescale(report.samples), series.window_length, series.hop)
-        payload["distributions"] = [
-            [round6(v) for v in spectrum_distribution(frame).probs] for frame in frames
-        ]
+    if report.distributions is not None:
+        full = np.concatenate([report.distributions, report.distributions[:, -2:0:-1]], axis=1)
+        payload["distributions"] = [[round6(v) for v in row] for row in full.tolist()]
     return payload
 
 
-def write_report_json(path, report: DetectionReport,
-                      include_distributions: bool = False) -> None:
-    write_json(path, report_to_dict(report, include_distributions))
+def write_report_json(path, report: DetectionReport) -> None:
+    write_json(path, report_to_dict(report))

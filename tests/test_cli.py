@@ -280,6 +280,22 @@ def test_detect_bad_sample_files_exit_4(synth_dir, tmp_path, capsys):
     assert "float64 samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["random", "empty", "riff_header", "truncated"])
+def test_detect_malformed_wav_exit_4(synth_dir, tmp_path, name):
+    good = tmp_path / "good.wav"
+    write_samples(good, np.fromfile(synth_dir / "samples.f64", dtype="<f8"), sample_rate=8192)
+    data = {"random": np.random.default_rng(0).bytes(100), "empty": b"",
+            "riff_header": b"RIFF\x04\x00\x00\x00WAVE",
+            "truncated": good.read_bytes()[:1001]}[name]
+    path = tmp_path / f"{name}.wav"
+    path.write_bytes(data)
+    result = run_module("detect", "--input", str(path), "--config",
+                        str(synth_dir / "config.json"), "--out-dir", str(tmp_path / "out"))
+    assert result.returncode == 4
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+
+
 _GOOD_CONFIG = {"sample_rate": 8192, "duration": 1.0,
                 "components": [{"amplitude": 1.0, "frequency": 440.0}],
                 "noise_sigma": 0.1, "indicator_on": [0.25, 0.75], "seed": 3}
@@ -298,6 +314,10 @@ _GOOD_CONFIG = {"sample_rate": 8192, "duration": 1.0,
     ("components", [1], "component must be a JSON object"),
     ("components", [{"frequency": None}], "component key 'frequency'"),
     ("components", [{"frequency": 440.0, "phase": []}], "component key 'phase'"),
+    ("seed", 2.7, "config key 'seed'"),
+    ("seed", True, "config key 'seed'"),
+    ("components", [{"frequency": 440.0, "phase": float("nan")}],
+     "component phase must be finite"),
 ])
 def test_detect_malformed_config_exit_3(tmp_path, capsys, key, value, message):
     config = tmp_path / "config.json"

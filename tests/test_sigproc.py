@@ -56,6 +56,9 @@ def test_config_validation():
         SignalConfig(sample_rate=8000.5, duration=1.0)
     with pytest.raises(RangeError):
         HarmonicComponent(1.0, -10.0)
+    for phase in (math.nan, math.inf):
+        with pytest.raises(RangeError, match="component phase must be finite"):
+            HarmonicComponent(1.0, 10.0, phase)
 
 
 def test_config_record_length_cap():
@@ -451,13 +454,31 @@ def test_detect_reference_seed0():
     cfg = reference_config(3, seed=0)
     report = detect(synthesize(cfg), cfg, TV)
     m = report.metrics
-    assert report.threshold == pytest.approx(0.14165773524687753, abs=1e-12)
+    assert report.series.threshold == pytest.approx(0.14165773524687753, abs=1e-12)
     assert (m.n_windows, m.n_on, m.n_off, m.n_mixed) == (40, 16, 23, 1)
     assert m.n_hit == 16 and m.hit_rate_on_interval == 1.0
     assert m.n_false_alarm == 0 and m.false_alarm_rate_off_interval == 0.0
     c = report.series.c_values
     assert m.mean_c_on == np.mean(c[report.states == WINDOW_ON])
     assert m.mean_c_off == np.mean(c[report.states == WINDOW_OFF])
+
+
+def test_detect_distributions_match_scalar_oracle():
+    # the engine's half-spectra, mirrored, are the oracle's distributions, and
+    # the report writes them to 6 digits; a window of zeros is uniform in both
+    x = _oracle_record()
+    assert not x[:N].any()
+    cfg = SignalConfig(sample_rate=8192, duration=x.size / 8192)
+    report = detect(x, cfg, TV, window_length=N, include_distributions=True)
+    ref = np.array([spectrum_distribution(x[s:s + N]).probs for s in range(0, x.size, N)])
+    half = report.distributions
+    assert half.shape == (4, N // 2 + 1)
+    assert np.array_equal(half[0], np.full(N // 2 + 1, 1.0 / N))
+    mirrored = np.concatenate([half, half[:, -2:0:-1]], axis=1)
+    np.testing.assert_allclose(mirrored, ref, rtol=1e-12, atol=1e-14)
+    written = np.array(report_to_dict(report)["distributions"])
+    assert written.shape == ref.shape
+    np.testing.assert_allclose(written, mirrored, rtol=5e-6, atol=0.0)
 
 
 def test_detect_pure_noise_rarely_flags():
@@ -557,11 +578,12 @@ def test_report_json(tmp_path):
     assert payload["metrics"]["hit_rate_on_interval"] == 1.0
     assert len(payload["windows"]) == 40
     assert payload["windows"][0]["state"] == "off"
-    assert "distributions" not in payload
+    assert report.distributions is None and "distributions" not in payload
     echoed = SignalConfig.from_dict(payload["config"])
     assert echoed == cfg
 
-    write_report_json(path, report, include_distributions=True)
+    report = detect(synthesize(cfg), cfg, TV, include_distributions=True)
+    write_report_json(path, report)
     payload = json.loads(path.read_text())
     assert len(payload["distributions"]) == 40
     assert len(payload["distributions"][0]) == 2048
