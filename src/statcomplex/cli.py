@@ -161,6 +161,8 @@ def cmd_demo(args) -> int:
         seeds = [0 if args.seed is None else args.seed]
     window_length = 2048
     fraction = 0.25
+    configs = [reference_config(n_components, seed=seed, window_length=window_length)
+               for seed in seeds]
     out_dir = _out_dir(args)
     kinds = list(ComplexityKind)
     summary = {
@@ -175,8 +177,7 @@ def cmd_demo(args) -> int:
     }
     metrics = {k.value: [] for k in kinds}
     written = []
-    for seed in seeds:
-        cfg = reference_config(n_components, seed=seed, window_length=window_length)
+    for seed, cfg in zip(seeds, configs):
         x = synthesize(cfg)
         seed_entry = {"seed": seed, "kinds": {}}
         for kind in kinds:

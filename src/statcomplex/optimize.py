@@ -13,13 +13,13 @@ deviation), so its search domain is restricted to omega in
 two kinds are bounded and searched over the open interval.
 
 The maximum is solved from the structure of the surface, not searched
-for: a small grid picks the peak, and the first-order conditions at its
-best cell place it on an edge or inside.  sq peaks on the band edge
+for: the kind fixes where its peak lies.  sq peaks on the band edge
 omega = 1 - 1/n, where dC/domega is still rising; jsd on the edge
 p_max = 1, where the log singularities of h and d leave dC/dp_max -> +inf;
-tv inside, since there dC/dp_max -> -inf at p_max = 1.  An edge peak is a
-1-d golden-section search along the edge, the tv peak a Newton solve of
-the conditions `tv_residuals` evaluates.
+tv inside, since there dC/dp_max -> -inf at p_max = 1.  A small grid
+brackets the peak; an edge peak is a 1-d golden-section search along the
+edge, the tv peak a Newton solve of the conditions `tv_residuals`
+evaluates.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ _XTOL = 1e-12          # golden-section brackets end below this width
 _NEWTON_STEPS = 40
 _NEWTON_TOL = 1e-12    # a Newton step this small leaves an error at roundoff
 _OMEGA_CLIP = 1e-9
-_LN2 = math.log(2.0)
 
 _TABLE_SIZES = (3, 256, 512, 1024, 2048)
 
@@ -115,38 +114,6 @@ def _omega_band(kind: ComplexityKind, n: int):
 
 def _c_at(kind: ComplexityKind, n: int, omega: float, p_max: float) -> float:
     return kernels.family_hdc(kind, float(n), omega, p_max)[2]
-
-
-def _slopes(kind: ComplexityKind, n: int, omega: float, p_max: float):
-    """(dC/domega, dC/dp_max) at a family point, the edge p_max = 1 included.
-
-    At p_max = 1 the p_max slope is infinite, as -ln(1 - p_max) times a
-    finite coefficient: -d / ln n from h, plus h / (2 ln 2) from the
-    Jensen-Shannon d.  It is returned as an infinity of that sign.
-    """
-    ln_n = math.log(n)
-    h, d, _ = kernels.family_hdc(kind, float(n), omega, p_max)
-    w, v, p, q = omega, 1.0 - omega, p_max, 1.0 - p_max
-    u = p + w - 1.0
-    h_w = (q / w - p / v) / ln_n
-    if kind is ComplexityKind.JSD:
-        a = 0.5 * (q + w)
-        b = 0.5 * (p + v)
-        d_w = math.log(b * w / (a * v)) / (2.0 * _LN2)
-        d_p = math.log(a * p / b) / (2.0 * _LN2)  # less ln(q) / (2 ln 2)
-        singular = h / (2.0 * _LN2) - d / ln_n
-    else:
-        scale = 1.0 if kind is ComplexityKind.TV else 1.0 / (n * w * v)
-        d_p = 2.0 * u * scale
-        d_w = d_p - (d * (1.0 - 2.0 * w) / (w * v) if kind is ComplexityKind.SQ else 0.0)
-        singular = -d / ln_n
-    c_w = h_w * d + h * d_w
-    if q <= 0.0:
-        return c_w, math.copysign(math.inf, singular)
-    if kind is ComplexityKind.JSD:
-        d_p -= math.log(q) / (2.0 * _LN2)
-    h_p = (math.log(q / w) - math.log(p / v)) / ln_n
-    return c_w, h_p * d + h * d_p
 
 
 def _golden(f, a: float, b: float):
@@ -235,24 +202,14 @@ def _box_max(kind: ComplexityKind, n: int, box):
     return omega, p_max, c
 
 
-def _interior_max(kind: ComplexityKind, n: int, omega: float, p_max: float, box):
-    """(omega, p_max, c) of an interior peak in `box`, started at (omega, p_max):
-    Newton's method for tv, else, or when it fails, the bracketed search."""
-    if kind is ComplexityKind.TV:
-        found = _tv_newton(n, omega, p_max, box[:3])
-        if found is not None:
-            return (*found, _c_at(kind, n, *found))
-    return _box_max(kind, n, box)
-
-
 def _continuous_max(kind: ComplexityKind, n: int):
     """(omega, p_max, c) of the largest C over the band and the p_max >= 1/2 branch.
 
     The cell of a coarse grid picks the peak and the grid lines next to it
-    bracket it.  The signs of the slopes into the domain at that cell (the
-    first-order conditions for a maximum on a closed domain) tell whether
-    the peak sits on the edge p_max = 1, on an omega band edge, or inside;
-    an edge peak is a 1-d golden-section search along the edge.
+    bracket it.  The kind places it: sq on the band edge omega = 1 - 1/n
+    and jsd on the edge p_max = 1, each a 1-d golden-section search along
+    the edge; tv inside, a Newton solve, or the bracketed search when
+    Newton fails.
     """
     w_lo, w_hi = _omega_band(kind, n)
     grid = np.arange(1, _CELLS) / _CELLS
@@ -264,15 +221,19 @@ def _continuous_max(kind: ComplexityKind, n: int):
     c0 = _c_at(kind, n, w0, p0)
     box = (float(ws[max(i - 1, 0)]), float(ws[min(i + 1, ws.size - 1)]),
            p0 - 1.0 / _CELLS, min(p0 + 1.0 / _CELLS, 1.0))
-    c_w, c_p = _slopes(kind, n, w0, p0)
-    if p0 == 1.0 and c_p >= 0.0:
+    if kind is ComplexityKind.SQ:
+        p_max, c = _golden(lambda p: _c_at(kind, n, w_hi, p), box[2], box[3])
+        omega = w_hi
+    elif kind is ComplexityKind.JSD:
         omega, c = _golden(lambda w: _c_at(kind, n, w, 1.0), box[0], box[1])
         p_max = 1.0
-    elif (w0 == w_hi and c_w >= 0.0) or (w0 == w_lo and c_w <= 0.0):
-        p_max, c = _golden(lambda p: _c_at(kind, n, w0, p), box[2], box[3])
-        omega = w0
     else:
-        omega, p_max, c = _interior_max(kind, n, w0, p0, box)
+        found = _tv_newton(n, w0, p0, box[:3])
+        if found is None:
+            omega, p_max, c = _box_max(kind, n, box)
+        else:
+            omega, p_max = found
+            c = _c_at(kind, n, omega, p_max)
     if c < c0:
         return w0, p0, c0
     return omega, p_max, c
@@ -328,14 +289,16 @@ def maximize_family(kind: ComplexityKind, n: int, mode: str = "continuous") -> O
 
     Continuous mode treats omega as a real parameter.  A grid of step 1/32
     over the band and the p_max >= 1/2 twin branch, which holds a twin of
-    every cell of the full grid since the band is symmetric, picks the peak
-    (33 x 17 cells for jsd and tv; band edges included); the
-    first-order conditions at its best cell choose an edge solve (a 1-d
-    golden-section search: omega = 1 - 1/n for sq, p_max = 1 for jsd) or
-    an interior one (Newton's method on the stationarity conditions for
-    tv).  The result is never below the best grid cell.  (For sq above
-    n ~ 1e10 the band edge 1 - 1/n rounds in float, so there the branches
-    no longer mirror each other exactly; this branch is the reported one.)
+    every cell of the full grid since the band is symmetric, brackets the
+    peak (33 x 17 cells for jsd and tv; band edges included).  The kind
+    picks the solve: a 1-d golden-section search along the edge
+    omega = 1 - 1/n for sq and p_max = 1 for jsd, Newton's method on the
+    stationarity conditions for tv.  The result is never below the best
+    grid cell.  (For sq above n ~ 1e10 the band edge 1 - 1/n rounds in
+    float, so there the branches no longer mirror each other exactly; this
+    branch is the reported one.  For n from about 5.5e15 to 6e15 the rounded
+    edge lies so far below 1 - 1/n that the best cell is on the lower edge
+    omega = 1/n, and that cell is the result.)
     Integer mode brackets p_max for every group count k in [1, n - 1] on a
     17-point grid and refines all rows in one batched golden-section
     search.  Ties are broken toward the smaller omega: among the branch's

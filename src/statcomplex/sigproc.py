@@ -51,6 +51,11 @@ def _check_sample_rate(sr) -> None:
         raise RangeError("sample rate must be below 2**53 Hz")
 
 
+def _check_seed(seed) -> None:
+    if not seed >= 0:
+        raise RangeError(f"seed must be >= 0, got {seed!r}")
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -129,6 +134,7 @@ class SignalConfig:
 
     def __post_init__(self):
         _check_sample_rate(self.sample_rate)
+        _check_seed(self.seed)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
         if not self.duration > 0.0:
             raise RangeError("duration must be positive")
@@ -197,6 +203,7 @@ def reference_config(n_components: int, seed: int = 0, sample_rate: int = 8192,
     if n_components < 0:
         raise RangeError("number of components must be >= 0")
     _check_sample_rate(sample_rate)
+    _check_seed(seed)
     if window_length < 64 or window_length & (window_length - 1):
         raise RangeError("window length must be a power of two >= 64")
     rng = np.random.default_rng([seed, 0])

@@ -318,6 +318,7 @@ _GOOD_CONFIG = {"sample_rate": 8192, "duration": 1.0,
     ("seed", True, "config key 'seed'"),
     ("components", [{"frequency": 440.0, "phase": float("nan")}],
      "component phase must be finite"),
+    ("seed", -1, "seed must be >= 0, got -1"),
 ])
 def test_detect_malformed_config_exit_3(tmp_path, capsys, key, value, message):
     config = tmp_path / "config.json"
@@ -329,6 +330,23 @@ def test_detect_malformed_config_exit_3(tmp_path, capsys, key, value, message):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--seed", "-1", "--sigma", "1", "--components", "0"],
+    ["synth", "--config", "seed3.json", "--seed", "-1"],
+    ["synth", "--config", "seed-1.json"],
+    ["demo", "--seed", "-1"],
+    ["demo", "--seeds", "0", "-1"],
+])
+def test_negative_seed_exit_3(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for seed in (3, -1):
+        (tmp_path / f"seed{seed}.json").write_text(json.dumps({**_GOOD_CONFIG, "seed": seed}))
+    assert main([*argv, "--out-dir", "out"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seed-1.json", "seed3.json"]
 
 
 @pytest.mark.parametrize("length", ["2", "1000"])

@@ -183,13 +183,14 @@ def test_solver_branches(monkeypatch, kind, n):
             assert r.p_max_star == 1.0
 
 
-def test_interior_falls_back_to_bracketed_search():
+def test_interior_falls_back_to_bracketed_search(monkeypatch):
     n = 64
     r = maximize_family(TV, n)
     box = (r.omega_star - 1 / 32, r.omega_star + 1 / 32, r.p_max_star - 1 / 32, 1.0)
     start = (0.5, 0.75)  # off the basin: Newton's first step leaves the box
     assert optimize._tv_newton(n, *start, box[:3]) is None
-    omega, p_max, c = optimize._interior_max(TV, n, *start, box)
+    monkeypatch.setattr(optimize, "_tv_newton", lambda n, w, p, box: None)
+    omega, p_max, c = optimize._continuous_max(TV, n)
     assert c == pytest.approx(r.c_star, rel=1e-13)
     assert (omega, p_max) == pytest.approx((r.omega_star, r.p_max_star), abs=1e-6)
     assert optimize._box_max(SQ, 3, (0.5, 2 / 3, 0.5, 1.0))[2] == pytest.approx(
@@ -197,29 +198,55 @@ def test_interior_falls_back_to_bracketed_search():
 
 
 def test_solve_never_ends_below_its_best_cell(monkeypatch):
-    monkeypatch.setattr(optimize, "_interior_max", lambda kind, n, w, p, box: (0.5, 0.5, 0.0))
+    monkeypatch.setattr(optimize, "_tv_newton", lambda n, w, p, box: None)
+    monkeypatch.setattr(optimize, "_box_max", lambda kind, n, box: (0.5, 0.5, 0.0))
     omega, p_max, c = optimize._continuous_max(TV, 64)
     assert c > 0.39 and c == optimize._c_at(TV, 64, omega, p_max)
     assert (omega * 32, p_max * 32) == (round(omega * 32), round(p_max * 32))  # a grid cell
 
 
-@pytest.mark.parametrize("kind", [SQ, JSD, TV])
-def test_slopes_match_differences(kind):
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = int(rng.integers(3, 4096))
-        w, p = rng.uniform(0.05, 0.95, 2)
-        c_w, c_p = optimize._slopes(kind, n, float(w), float(p))
-        h = 1e-6
-        dw = (optimize._c_at(kind, n, w + h, p) - optimize._c_at(kind, n, w - h, p)) / (2 * h)
-        dp = (optimize._c_at(kind, n, w, p + h) - optimize._c_at(kind, n, w, p - h)) / (2 * h)
-        assert c_w == pytest.approx(dw, rel=1e-6, abs=1e-8)
-        assert c_p == pytest.approx(dp, rel=1e-6, abs=1e-8)
-    # on p_max = 1 the slope diverges: into the square for jsd at its optimum,
-    # out of it for sq and tv wherever C > 0
-    r = maximize_family(kind, 256)
-    expected = math.inf if kind is JSD else -math.inf
-    assert optimize._slopes(kind, 256, r.omega_star, 1.0)[1] == expected
+def _best_cell(kind, n):
+    """(omega, p_max) of the best cell of the solver's coarse grid."""
+    w_lo, w_hi = optimize._omega_band(kind, n)
+    grid = np.arange(1, 32) / 32
+    ws = np.unique(np.concatenate([grid[(grid >= w_lo) & (grid <= w_hi)], [w_lo, w_hi]]))
+    ps = np.arange(16, 33) / 32
+    surf = kernels.family_c_grid(kind, float(n), ws[:, None], ps[None, :])
+    i, j = divmod(int(np.argmax(surf)), ps.size)
+    return float(ws[i]), float(ps[j])
+
+
+_EDGE_SIZES = sorted({*range(3, 301), *np.geomspace(301, 2 ** 40, 300).astype(np.int64).tolist()})
+
+
+@pytest.mark.parametrize("kind", [SQ, JSD])
+def test_edge_kinds_peak_on_their_edge(kind):
+    # the premise of the solver's dispatch: the sq peak lies on the band
+    # edge omega = 1 - 1/n and the jsd peak on the edge p_max = 1, so the
+    # best coarse cell sits there, a step into the square lowers C, and the
+    # solve ends on the peak along the edge, not on the cell
+    for n in _EDGE_SIZES:
+        w_hi = optimize._omega_band(kind, n)[1]
+        w0, p0 = _best_cell(kind, n)
+        omega, p_max, c = optimize._continuous_max(kind, n)
+        if kind is SQ:
+            assert w0 == w_hi, n
+            h = 1e-6 * min(omega, 1.0 - omega)
+            assert optimize._c_at(kind, n, omega - h, p_max) <= c, n
+            along = [(omega, p_max + s * 1e-5 * min(p_max - 0.5, 1.0 - p_max)) for s in (-1, 1)]
+        else:
+            assert p0 == 1.0, n
+            assert optimize._c_at(kind, n, omega, 1.0 - 1e-9) <= c, n
+            along = [(omega + s * 1e-5 * min(omega, 1.0 - omega), p_max) for s in (-1, 1)]
+        assert max(optimize._c_at(kind, n, w, p) for w, p in along) <= c, n
+
+
+def test_sq_beyond_float_band_edge_keeps_its_best_cell():
+    # 1 - 1/n rounds far down here, and the best coarse cell lies on the
+    # lower edge omega = 1/n, where a solve along the upper edge ends lower
+    n = 5468056063525244
+    r = maximize_family(SQ, n)
+    assert r.c_star >= optimize._c_at(SQ, n, *_best_cell(SQ, n))
 
 
 def test_optimum_is_locally_maximal():
