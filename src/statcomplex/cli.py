@@ -159,6 +159,9 @@ def cmd_demo(args) -> int:
         seeds = list(args.seeds)
     else:
         seeds = [0 if args.seed is None else args.seed]
+    repeated = next((seed for i, seed in enumerate(seeds) if seed in seeds[:i]), None)
+    if repeated is not None:
+        raise RangeError(f"seed {repeated} is given more than once")
     window_length = 2048
     fraction = 0.25
     configs = [reference_config(n_components, seed=seed, window_length=window_length)

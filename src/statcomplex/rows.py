@@ -3,14 +3,23 @@ and one for its JSON documents (reports, configs, summaries).
 
 Rows are tuples in header order.  CSV writes floats with 6 significant
 digits; JSON writes a list of objects whose floats are rounded to the
-same 6 digits (`round6`).
+same 6 digits (`round6`).  Both JSON writers lay a list of rows out from
+one template per list (`RowList`), byte for byte as `json.dump` would.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+
+_INDENT = 2
+# Rows per block of `_json_list`: bounds the text held at once.
+_BLOCK_ROWS = 4096
+# The repr of a non-finite float, and the token `json.dumps` writes for it.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def round6(value: float) -> float:
@@ -18,27 +27,101 @@ def round6(value: float) -> float:
     return float(f"{value:.6g}")
 
 
-def write_json(path, obj) -> None:
-    """Write `obj` to `path` as `json.dump(obj, indent=2)` plus a trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+def json_float(value: float) -> str:
+    """`round6(value)` as `json.dumps` writes it."""
+    text = repr(float(f"{value:.6g}"))
+    return _JSON_NONFINITE.get(text, text)
 
 
-def _json_float(value: float) -> str:
-    value = round6(value)
-    return repr(value) if math.isfinite(value) else json.dumps(value)
+def json_scalar(value) -> str:
+    """`value`, a str, number, bool or None, as `json.dumps` writes it; a finite
+    float without rounding, by its repr."""
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
 
 
-def _json_layout(header, indent):
-    """List opening, item separator, list closing and object template of `json.dump`."""
-    keys = [f"{json.dumps(key)}: {{}}" for key in header]
+def json_bool(value) -> str:
+    """`bool(value)` as `json.dumps` writes it."""
+    return "true" if value else "false"
+
+
+@dataclass(frozen=True)
+class RowList:
+    """A JSON list of rows, laid out from one template: objects with the keys
+    `header`, or arrays when `header` is None.  `encode` holds one function per
+    column that returns its value's JSON text; by default a float column is
+    written as `json_float` and any other through `json.dumps`, as the first
+    row's types pick.  `rows` may be a generator: it is read once."""
+
+    header: tuple
+    rows: object
+    encode: tuple = None
+
+
+def _json_layout(header, width, indent, depth):
+    """List opening, item separator, list closing and item template of `json.dump`
+    for a list of `width`-column rows at nesting `depth`."""
+    if header is None:
+        item_open, item_close, fields = "[", "]", ["{}"] * width
+    else:  # braces doubled for str.format
+        item_open, item_close = "{{", "}}"
+        fields = [f"{json.dumps(key)}: {{}}" for key in header]
     if indent is None:
-        return "[", ", ", "]", "{{" + ", ".join(keys) + "}}"
-    outer = "\n" + " " * indent
-    inner = outer + " " * indent
-    return ("[" + outer, "," + outer, "\n]",
-            "{{" + inner + ("," + inner).join(keys) + outer + "}}")
+        return "[", ", ", "]", item_open + ", ".join(fields) + item_close
+    outer = "\n" + " " * (indent * depth)
+    item = outer + " " * indent
+    inner = item + " " * indent
+    return ("[" + item, "," + item, outer + "]",
+            item_open + inner + ("," + inner).join(fields) + item + item_close)
+
+
+def _json_list(rows: RowList, indent, depth=0):
+    """The text of `rows` as `json.dump` lays it out at nesting `depth`, in pieces of
+    up to `_BLOCK_ROWS` rows.  Each block is encoded column by column and
+    formatted row by row, both in C loops."""
+    it = iter(rows.rows)
+    block = list(islice(it, _BLOCK_ROWS))
+    if not block:
+        yield "[]"
+        return
+    open_list, item_sep, close_list, item = _json_layout(rows.header, len(block[0]),
+                                                         indent, depth)
+    encode = rows.encode or [json_float if isinstance(v, float) else json.dumps
+                             for v in block[0]]
+    piece = open_list
+    while block:
+        yield piece + item_sep.join(map(item.format, *map(map, encode, zip(*block))))
+        block = list(islice(it, _BLOCK_ROWS))
+        piece = item_sep
+    yield close_list
+
+
+def json_text(obj, depth: int = 0) -> str:
+    """`obj` as `json.dumps(obj, indent=2)` lays it out at nesting `depth`.
+
+    A non-empty dict is laid out member by member, and its keys must be
+    strings; a `RowList` among its values is laid out from its template.
+    Anything else goes through `json.dumps`, re-indented to `depth`.
+    """
+    if isinstance(obj, RowList):
+        return "".join(_json_list(obj, _INDENT, depth))
+    if isinstance(obj, dict) and obj:
+        pad = "\n" + " " * (_INDENT * (depth + 1))
+        members = [f"{json.dumps(key)}: {json_text(value, depth + 1)}"
+                   for key, value in obj.items()]
+        return "{" + pad + ("," + pad).join(members) + "\n" + " " * (_INDENT * depth) + "}"
+    if not isinstance(obj, (dict, list, tuple)):
+        return json_scalar(obj)
+    return json.dumps(obj, indent=_INDENT).replace("\n", "\n" + " " * (_INDENT * depth))
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` to `path` as `json.dump(obj, indent=2)` plus a trailing newline,
+    in one write; see `json_text` for the `RowList` values it may hold."""
+    text = json_text(obj) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def write_rows(path, header, rows, indent=None) -> None:
@@ -47,25 +130,19 @@ def write_rows(path, header, rows, indent=None) -> None:
     `rows` is consumed lazily, so a generator keeps memory flat however
     many rows there are.  The line template is built once from the first
     row: a float column is formatted as a float in every row.  `indent`
-    lays the JSON out as `json.dump` would; CSV ignores it.
+    lays the JSON out as `json.dump` would, from the same template code as
+    a `RowList` in `write_json`; CSV ignores it.
     """
-    rows = iter(rows)
-    first = next(rows, None)
     as_json = Path(path).suffix.lower() == ".json"
     with open(path, "w", encoding="utf-8") as fh:
-        if first is None:
-            fh.write("[]\n" if as_json else ",".join(header) + "\n")
-        elif as_json:
-            open_list, item_sep, close_list, obj = _json_layout(header, indent)
-            encode = [_json_float if isinstance(v, float) else json.dumps for v in first]
-
-            def fmt(row):
-                return obj.format(*[f(v) for f, v in zip(encode, row)])
-
-            fh.write(open_list + fmt(first))
-            fh.writelines(item_sep + fmt(row) for row in rows)
-            fh.write(close_list + "\n")
-        else:
+        if as_json:
+            fh.writelines(_json_list(RowList(header, rows), indent))
+            fh.write("\n")
+            return
+        rows = iter(rows)
+        first = next(rows, None)
+        fh.write(",".join(header) + "\n")
+        if first is not None:
             line = ",".join("{:.6g}" if isinstance(v, float) else "{}" for v in first) + "\n"
-            fh.write(",".join(header) + "\n" + line.format(*first))
+            fh.write(line.format(*first))
             fh.writelines(line.format(*row) for row in rows)

@@ -15,6 +15,7 @@ can be re-noised and vice versa.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import os
@@ -33,7 +34,7 @@ from .dist import DiscreteDistribution, uniform
 from .errors import AliasingError, DataShapeError, RangeError
 from .kernels import rows_c
 from .optimize import threshold as complexity_threshold
-from .rows import round6, write_json, write_rows
+from .rows import RowList, json_bool, json_float, json_scalar, round6, write_json, write_rows
 
 TWO_PI = 2.0 * math.pi
 # Largest record, in samples, that a config may describe (512 MiB of float64).
@@ -311,7 +312,8 @@ _MIN_BLOCK = 1 << 18
 
 
 def _check_record(samples, window_length) -> np.ndarray:
-    """The record as a float64 array, once the window length and samples are valid.
+    """The record as a float64 array, prescaled (`_prescale`), once the window
+    length and samples are valid.
 
     Raises RangeError for a window length that is not a power of two >= 4,
     and DataShapeError for a record that is not 1-d, is shorter than one
@@ -327,18 +329,21 @@ def _check_record(samples, window_length) -> np.ndarray:
     if x.size < window_length:
         raise DataShapeError(
             f"record of {x.size} samples is shorter than one window ({window_length})")
-    if not np.all(np.isfinite(x)):
-        raise DataShapeError("input record contains non-finite samples")
-    return x
+    return _prescale(x)
 
 
 def _prescale(x: np.ndarray) -> np.ndarray:
     """Scale by the power of two nearest max|x|, so |FFT|^2 cannot overflow.
 
     The scaling is exact in binary floating point and spectra are
-    normalized, so every window's distribution is unchanged.
+    normalized, so every window's distribution is unchanged.  The peak is
+    max(x.max(), -x.min()), with no |x| copy: a NaN sample makes it NaN and
+    an infinite one makes it infinite, and either raises DataShapeError.
     """
-    return np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+    peak = max(x.max(), -x.min())
+    if not np.isfinite(peak):
+        raise DataShapeError("input record contains non-finite samples")
+    return np.ldexp(x, -np.frexp(peak)[1])
 
 
 def _frames(x: np.ndarray, window_length: int, hop: int) -> np.ndarray:
@@ -468,8 +473,7 @@ def complexity_series(samples, window_length: int = 2048, hop: int = None,
         raise RangeError("sample rate must be positive")
     if threshold is None:
         threshold = complexity_threshold(kind, window_length)
-    return _window_series(_frames(_prescale(x), window_length, hop), hop, kind, threshold,
-                          sample_rate)
+    return _window_series(_frames(x, window_length, hop), hop, kind, threshold, sample_rate)
 
 
 def _window_series(frames: np.ndarray, hop: int, kind: ComplexityKind,
@@ -522,6 +526,7 @@ WINDOW_OFF = 0
 WINDOW_MIXED = -1
 
 _STATE_NAMES = {WINDOW_ON: "on", WINDOW_OFF: "off", WINDOW_MIXED: "mixed"}
+_STATE_JSON = {state: json.dumps(name) for state, name in _STATE_NAMES.items()}
 
 
 def _on_range(config: SignalConfig, n: int):
@@ -609,7 +614,7 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
     """
     x = _check_record(samples, window_length)
     gamma = complexity_threshold(kind, window_length, fraction)
-    frames = _frames(_prescale(x), window_length, window_length)
+    frames = _frames(x, window_length, window_length)
     series = _window_series(frames, window_length, kind, gamma, config.sample_rate)
     states = classify_windows(config, x.size, window_length, window_length)
     decisions = series.decisions
@@ -709,9 +714,18 @@ def write_series_csv(path, series: WindowSeries) -> None:
                    map(int, series.decisions.tolist())))
 
 
+def _full_spectra(distributions: np.ndarray) -> np.ndarray:
+    """The N/2 + 1 bins of each row, with bins 1 .. N/2 - 1 mirrored out to N bins."""
+    return np.concatenate([distributions, distributions[:, -2:0:-1]], axis=1)
+
+
+_WINDOW_KEYS = ("t_center", "c_value", "decision", "state")
+
+
 def report_to_dict(report: DetectionReport) -> dict:
     """The JSON document of `report`.  Its `"distributions"`, present when the report
-    holds them, are the N/2 + 1 bins with bins 1 .. N/2 - 1 mirrored out to N bins."""
+    holds them, are the N/2 + 1 bins with bins 1 .. N/2 - 1 mirrored out to N bins.
+    `write_report_json` writes this document without building it."""
     series = report.series
     payload = {
         "kind": series.kind.value,
@@ -720,22 +734,47 @@ def report_to_dict(report: DetectionReport) -> dict:
         "config": report.config.to_dict(),
         "metrics": report.metrics.to_dict(),
         "windows": [
-            {
-                "t_center": round6(t),
-                "c_value": round6(c),
-                "decision": decision,
-                "state": _STATE_NAMES[state],
-            }
+            dict(zip(_WINDOW_KEYS, (round6(t), round6(c), decision, _STATE_NAMES[state])))
             for t, c, decision, state in zip(
                 series.t_centers.tolist(), series.c_values.tolist(),
                 series.decisions.tolist(), report.states.tolist())
         ],
     }
     if report.distributions is not None:
-        full = np.concatenate([report.distributions, report.distributions[:, -2:0:-1]], axis=1)
-        payload["distributions"] = [[round6(v) for v in row] for row in full.tolist()]
+        payload["distributions"] = [[round6(v) for v in row]
+                                    for row in _full_spectra(report.distributions).tolist()]
     return payload
 
 
 def write_report_json(path, report: DetectionReport) -> None:
-    write_json(path, report_to_dict(report))
+    """Write `report_to_dict(report)` to `path`, byte for byte as `json.dump(indent=2)`
+    would, in one write and without building that dict.
+
+    The windows, the config's components and the distributions are laid out
+    from row templates (`rows.RowList`); only the small objects (the header
+    scalars, the rest of the config and the metrics) go through `json.dumps`.
+    Window and distribution floats are rounded by `round6`; component floats
+    are written in full, so that the config echo loads back to the same config.
+    """
+    series = report.series
+    config = report.config.to_dict()
+    components = config["components"]
+    keys = tuple(components[0]) if components else ()
+    config["components"] = RowList(keys, [tuple(c.values()) for c in components],
+                                   (json_scalar,) * len(keys))
+    document = {
+        "kind": series.kind.value,
+        "window_length": series.window_length,
+        "threshold": round6(series.threshold),
+        "config": config,
+        "metrics": report.metrics.to_dict(),
+        "windows": RowList(_WINDOW_KEYS, zip(
+            series.t_centers.tolist(), series.c_values.tolist(),
+            series.decisions.tolist(), report.states.tolist()),
+            (json_float, json_float, json_bool, _STATE_JSON.__getitem__)),
+    }
+    if report.distributions is not None:
+        document["distributions"] = RowList(
+            None, _full_spectra(report.distributions).tolist(),
+            (json_float,) * series.window_length)
+    write_json(path, document)

@@ -349,6 +349,14 @@ def test_negative_seed_exit_3(tmp_path, capsys, monkeypatch, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["seed-1.json", "seed3.json"]
 
 
+@pytest.mark.parametrize("seeds", [["0", "0"], ["2", "0", "2"]])
+def test_demo_repeated_seed_exit_3(tmp_path, capsys, seeds):
+    # a repeated seed would write its series twice and weight it double in the means
+    assert main(["demo", "--seeds", *seeds, "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"error: seed {seeds[-1]} is given more than once\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("length", ["2", "1000"])
 def test_detect_bad_window_length_exit_3(synth_dir, tmp_path, capsys, length):
     assert main(["detect", "--input", str(synth_dir / "samples.f64"),

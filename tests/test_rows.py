@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from statcomplex.rows import round6, write_json, write_rows
+from statcomplex import rows
+from statcomplex.rows import RowList, json_scalar, json_text, round6, write_json, write_rows
 
 HEADER = ("kind", "n", "c", "flag")
 ROWS = [("sq", 3, 0.19323943583345649, True), ("tv", 2048, 1.0 / 3.0, False),
@@ -43,3 +44,31 @@ def test_write_json_matches_json_dump(tmp_path):
     obj = {"c": [0.1, math.nan, -math.inf], "kind": "tv", "n": 3, "rows": [{"x": None}]}
     write_json(tmp_path / "doc.json", obj)
     assert (tmp_path / "doc.json").read_text() == json.dumps(obj, indent=2) + "\n"
+
+
+def _rounded(rows):
+    return [{k: round6(v) if isinstance(v, float) else v for k, v in zip(HEADER, row)}
+            for row in rows]
+
+
+@pytest.mark.parametrize("listed", [ROWS, []], ids=["rows", "empty"])
+def test_row_list_matches_json_dump_at_depth(listed):
+    # the row layout nested at depth 0 and 1, as objects and as arrays, with the
+    # default encoders (floats to 6 digits) and with full-precision ones
+    assert json_text(RowList(HEADER, iter(listed))) == json.dumps(_rounded(listed), indent=2)
+    arrays = [[row[2], -row[2]] for row in listed]
+    doc = {"n": 3, "rows": RowList(HEADER, iter(listed)), "tail": [1.5, None],
+           "inner": {"arrays": RowList(None, arrays, (json_scalar, json_scalar)), "x": {}}}
+    expected = {"n": 3, "rows": _rounded(listed), "tail": [1.5, None],
+                "inner": {"arrays": arrays, "x": {}}}
+    assert json_text(doc) == json.dumps(expected, indent=2)
+
+
+def test_rows_written_in_blocks_match_json_dump(tmp_path, monkeypatch):
+    # a list longer than one block joins its blocks with the item separator
+    monkeypatch.setattr(rows, "_BLOCK_ROWS", 3)
+    many = ROWS * 2 + ROWS[:1]
+    write_rows(tmp_path / "rows.json", HEADER, iter(many), indent=2)
+    assert (tmp_path / "rows.json").read_text() == json.dumps(_rounded(many), indent=2) + "\n"
+    assert json_text({"rows": RowList(HEADER, many)}) == json.dumps({"rows": _rounded(many)},
+                                                                   indent=2)

@@ -587,3 +587,39 @@ def test_report_json(tmp_path):
     payload = json.loads(path.read_text())
     assert len(payload["distributions"]) == 40
     assert len(payload["distributions"][0]) == 2048
+
+
+# Records for the writer's byte-identity test: (samples, config, include_distributions)
+# and the premise each case exists for, checked on `report_to_dict`.
+_WRITER_CASES = {
+    "k3": (lambda: reference_config(3, seed=4), False,
+           lambda d: len(d["config"]["components"]) == 3),
+    "k30": (lambda: reference_config(30, seed=5), False,
+            lambda d: len(d["config"]["components"]) == 30),
+    "exact_zero_window": (lambda: reference_config(3, seed=7, noise_sigma=0.0), False,
+                          lambda d: 0.0 in [w["c_value"] for w in d["windows"]]),
+    "no_components": (lambda: SignalConfig(sample_rate=8192, duration=2.0, noise_sigma=1.0,
+                                           indicator_on=(0.5, 1.5), seed=3), False,
+                      lambda d: d["config"]["components"] == []),
+    "no_full_on_window": (lambda: reference_config(3, seed=8, duration=2.0,
+                                                   indicator_on=(0.3, 0.45)), False,
+                          lambda d: d["metrics"]["hit_rate_on_interval"] is None
+                          and d["metrics"]["mean_c_on"] is None),
+    "distributions": (lambda: reference_config(3, seed=9, duration=1.0,
+                                               indicator_on=(0.25, 0.75)), True,
+                      lambda d: len(d["distributions"]) == 4),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRITER_CASES))
+@pytest.mark.parametrize("kind", list(ComplexityKind))
+def test_report_writer_matches_json_dump(tmp_path, kind, case):
+    # the templated writer writes exactly the bytes of json.dump(report_to_dict, indent=2)
+    make_config, include_distributions, premise = _WRITER_CASES[case]
+    cfg = make_config()
+    report = detect(synthesize(cfg), cfg, kind, include_distributions=include_distributions)
+    payload = report_to_dict(report)
+    assert premise(payload)
+    path = tmp_path / "report.json"
+    write_report_json(path, report)
+    assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
