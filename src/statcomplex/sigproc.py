@@ -215,7 +215,7 @@ def reference_config(n_components: int, seed: int = 0, sample_rate: int = 8192,
     phases = rng.uniform(0.0, TWO_PI, size=n_components)
     comps = tuple(
         HarmonicComponent(amplitude=amplitude, frequency=int(b) * sample_rate / window_length,
-                          phase=ph)
+                          phase=float(ph))
         for b, ph in zip(bins, phases)
     )
     if noise_sigma is None:
@@ -462,24 +462,46 @@ def complexity_series(samples, window_length: int = 2048, hop: int = None,
     total, whatever the number of threads, so the memory used beyond a
     scaled copy of the record and the output columns stays
     O(128 x window_length) whatever the record length.  The values do not
-    depend on the number of threads.
+    depend on the number of threads.  `sample_rate`, which sets
+    `t_centers`, must be finite and positive (RangeError otherwise).
     """
     x = _check_record(samples, window_length)
     if hop is None:
         hop = window_length
     if not isinstance(hop, (int, np.integer)) or hop < 1:
         raise RangeError("hop must be a positive integer number of samples")
-    if not sample_rate > 0.0:
-        raise RangeError("sample rate must be positive")
+    if not 0.0 < sample_rate < math.inf:
+        raise RangeError(f"sample rate must be finite and positive, got {sample_rate!r}")
     if threshold is None:
         threshold = complexity_threshold(kind, window_length)
     return _window_series(_frames(x, window_length, hop), hop, kind, threshold, sample_rate)
 
 
+def _live_windows(rows: np.ndarray, hop: int) -> tuple:
+    """The range [lo, hi) of `rows`, windows `hop` samples apart, from the first to
+    the last window that holds a nonzero sample; lo == hi when none does.
+
+    When the first and the last window both start with a nonzero sample, that
+    is the whole range, at the cost of two reads.  Otherwise the rows' samples
+    are searched once: each row's first min(hop, N) samples, then the rest of
+    the last row.  That span holds every sample of the rows and none twice,
+    and in it row k covers [k * step, k * step + N).
+    """
+    if rows[0, 0] and rows[-1, 0]:
+        return 0, len(rows)
+    head = rows[:, :hop]
+    step = head.shape[1]
+    nonzero = np.flatnonzero(np.concatenate((head.ravel(), rows[-1, step:])))
+    if not nonzero.size:
+        return 0, 0
+    return (max(0, (nonzero[0] - rows.shape[1]) // step + 1),
+            min(len(rows), nonzero[-1] // step + 1))
+
+
 def _window_series(frames: np.ndarray, hop: int, kind: ComplexityKind,
                    threshold: float, sample_rate: float) -> WindowSeries:
     """The engine of `complexity_series`, on arguments it has validated: the
-    `_frames` at `hop` of a checked, prescaled record, and a positive rate.
+    `_frames` at `hop` of a checked, prescaled record, and a finite positive rate.
 
     A record of more than one chunk runs on one thread per usable CPU, the
     calling thread among them; numpy releases the interpreter lock in the
@@ -489,6 +511,12 @@ def _window_series(frames: np.ndarray, hop: int, kind: ComplexityKind,
     Each thread's buffers are allocated here, before any thread starts, so
     the threads allocate no table-sized array: a thread's own allocations
     would stay in its own malloc arena and raise the peak resident memory.
+
+    A window of exact zeros has C = 0 by definition, so only the windows of
+    a chunk from its first to its last one with a nonzero sample
+    (`_live_windows`) are transformed; the others keep C = 0 with no FFT.
+    Silent windows between live ones, and windows whose power underflows to
+    zero, still get their 0 from `_batch_complexity`.
     """
     n_windows, window_length = frames.shape
     threads = 1
@@ -496,7 +524,7 @@ def _window_series(frames: np.ndarray, hop: int, kind: ComplexityKind,
         threads = min(_usable_cpus(), _CHUNK_WINDOWS // _MIN_THREAD_WINDOWS)
     chunk = _CHUNK_WINDOWS // threads
     buffers = _spectrum_buffers(min(chunk, n_windows), window_length, threads)
-    c_values = np.empty(n_windows)
+    c_values = np.zeros(n_windows)
     starts = iter(range(0, n_windows, chunk))
     claim = threading.Lock()
 
@@ -506,8 +534,9 @@ def _window_series(frames: np.ndarray, hop: int, kind: ComplexityKind,
                 i = next(starts, None)
             if i is None:
                 return
-            j = min(i + chunk, n_windows)
-            c_values[i:j] = _batch_complexity(frames[i:j], kind, buffers[thread])
+            lo, hi = (i + k for k in _live_windows(frames[i:min(i + chunk, n_windows)], hop))
+            if lo < hi:
+                c_values[lo:hi] = _batch_complexity(frames[lo:hi], kind, buffers[thread])
 
     _run_threads(run_chunks, threads)
     t_centers = (np.arange(n_windows) * hop + window_length / 2) / sample_rate

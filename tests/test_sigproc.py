@@ -106,6 +106,9 @@ def test_reference_config_structure():
     # sigma chosen so on-interval snr is 1
     assert cfg.noise_sigma == pytest.approx(math.sqrt(1.5), rel=1e-12)
     assert cfg.effective_snr == pytest.approx(1.0, rel=1e-12)
+    # phases are Python floats, so the config's repr and JSON take no numpy path
+    for k in (3, 30):
+        assert all(type(c.phase) is float for c in reference_config(k, seed=7).components)
 
 
 def test_reference_config_validation():
@@ -334,6 +337,75 @@ def test_series_threads_per_record_size(monkeypatch):
         assert sum(rows for _, rows in calls) == n_windows
         if threads == 1:
             assert {ident for ident, _ in calls} == {threading.get_ident()}
+
+
+def _silent_record(hop):
+    """Tone in noise over 1505 windows at `hop`, silent up to 5 samples past the
+    start of window 384 (the chunks of 32 to 128 windows that end there are
+    live only in their last window's tail), over windows 640 to 900, and from
+    5 samples into window 1400 to the end."""
+    x = np.cos(2.0 * np.pi * 200 * np.arange(N + 1504 * hop) / N)
+    x += np.random.default_rng(hop).normal(size=x.size)
+    x[:384 * hop + 5] = 0.0
+    x[640 * hop:900 * hop + N] = 0.0
+    x[1400 * hop + 5:] = 0.0
+    return x
+
+
+def _rows_between_live(frames, chunk):
+    """Windows from the first to the last with a nonzero sample, summed over chunks."""
+    total = 0
+    for i in range(0, len(frames), chunk):
+        live = np.flatnonzero(frames[i:i + chunk].any(axis=1))
+        total += live[-1] - live[0] + 1 if live.size else 0
+    return total
+
+
+@pytest.mark.parametrize("hop", [64, 1000, 2048])
+def test_series_skips_silent_windows(monkeypatch, hop):
+    # only each chunk's windows from its first to its last live one reach
+    # _batch_complexity, and C is still that of one batch over all frames
+    rows = []
+    batch = sigproc._batch_complexity
+
+    def counting(frames, kind, buffers=None):
+        rows.append(frames.shape[0])
+        return batch(frames, kind, buffers)
+
+    x = _silent_record(hop)
+    frames = sigproc._frames(sigproc._prescale(x), N, hop)
+    ref = batch(frames, TV)
+    noisy = np.random.default_rng(0).normal(size=x.size)
+    noisy[1::2] = 0.0  # hops are even, so no window starts with a zero
+    monkeypatch.setattr(sigproc, "_batch_complexity", counting)
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(sigproc, "_usable_cpus", lambda: cpus)
+        rows.clear()
+        assert np.array_equal(complexity_series(x, window_length=N, hop=hop).c_values, ref)
+        expected = _rows_between_live(frames, 128 // cpus)
+        assert sum(rows) == expected < len(frames), cpus
+        rows.clear()
+        assert np.all(complexity_series(np.zeros(x.size), window_length=N, hop=hop).c_values
+                      == 0.0)
+        assert rows == []
+        rows.clear()
+        complexity_series(noisy, window_length=N, hop=hop)
+        assert sum(rows) == len(frames), cpus
+    # a window of tiny samples is transformed, its power underflows, and its C is 0
+    x = np.zeros(4 * N)
+    x[:N] = np.random.default_rng(1).normal(size=N)
+    x[2 * N:3 * N] = 1e-200
+    rows.clear()
+    c = complexity_series(x, window_length=N, hop=N).c_values
+    assert rows == [3] and c[0] > 0.0 and np.all(c[1:] == 0.0)
+
+
+def test_series_sample_rate_must_be_finite_and_positive():
+    x = np.zeros(2 * N)
+    assert complexity_series(x, window_length=N, sample_rate=8192).t_centers[1] == 1.5 * N / 8192
+    for rate in (math.inf, math.nan, 0.0, -8192.0, -math.inf):
+        with pytest.raises(RangeError, match="sample rate must be finite and positive"):
+            complexity_series(x, window_length=N, sample_rate=rate)
 
 
 class _PlantedError(Exception):
