@@ -2,8 +2,11 @@
 
 Kernels
 -------
+rows_hd(p, n, rowsum, scratch=None, kinds=all)
+    Entropy factor and the disequilibrium of each kind, per row of a table
+    of n-state distributions, from one pass over the table.
 rows_c(kind, p, n, rowsum, scratch=None)
-    Complexity of each row of a table of n-state distributions.
+    Complexity of each row of such a table, for one kind.
 family_hdc(kind, n, omega, p_max)
     Closed-form (entropy factor, disequilibrium, complexity) of one
     two-level family point.  Continuous omega permitted.
@@ -50,18 +53,20 @@ class ComplexityKind(enum.Enum):
             raise RangeError(f"unknown complexity kind {text!r}; expected one of: {valid}")
 
 
-def rows_c(kind: ComplexityKind, p: np.ndarray, n: int, rowsum,
-           scratch: np.ndarray = None) -> np.ndarray:
-    """C = H * D of each row of `p`, a table of n-state distributions.
+def rows_hd(p: np.ndarray, n: int, rowsum, scratch: np.ndarray = None,
+            kinds=tuple(ComplexityKind)) -> tuple:
+    """The entropy factor h of each row of `p`, a table of n-state distributions,
+    and the disequilibrium d of each of `kinds`: returns (h, {kind: d}).
 
-    A column may stand for several equal states: `rowsum(t)` sums a table
-    `t` shaped like `p` over all n states of each row.  Matches
-    `complexity_value` row by row, clips included.  Overwrites `p`, since a
+    h is clipped to [0, 1], so that h * d[kind] is `complexity_value` row by
+    row, clips included.  A column may stand for several equal states:
+    `rowsum(t)` sums a table `t` shaped like `p` over all n states of each
+    row.  The kinds are taken tv, sq, then jsd, which overwrites `p`, since a
     fresh temporary per step costs more in page faults than the arithmetic.
-    `scratch`, a float64 array of `p`'s shape, is overwritten in place of
-    the one table-sized temporary; without it, that temporary is allocated.
-    Apart from it and what `rowsum` allocates, the kernel allocates only
-    row vectors.
+    `scratch`, a float64 array of `p`'s shape, is overwritten in place of the
+    one table-sized temporary; without it, that temporary is allocated.
+    Apart from it and what `rowsum` allocates, the kernel allocates only row
+    vectors.
     """
     log_n = math.log(n)
     u = 1.0 / n
@@ -70,22 +75,30 @@ def rows_c(kind: ComplexityKind, p: np.ndarray, n: int, rowsum,
     np.log(t, out=t)
     t *= p
     h_nats = 0.0 - rowsum(t)  # not -rowsum(t), which turns a zero entropy into -0.0
-    if kind is ComplexityKind.SQ:
+    d = {}
+    if ComplexityKind.TV in kinds or ComplexityKind.SQ in kinds:
         np.subtract(p, u, out=t)
-        t *= t
-        d = rowsum(t)
-    elif kind is ComplexityKind.TV:
-        np.subtract(p, u, out=t)
-        np.abs(t, out=t)
-        d = (0.5 * rowsum(t)) ** 2
-    else:
+        if ComplexityKind.TV in kinds:
+            np.abs(t, out=t)
+            d[ComplexityKind.TV] = (0.5 * rowsum(t)) ** 2
+        if ComplexityKind.SQ in kinds:
+            t *= t  # |p - u| squared is (p - u) squared, bit for bit
+            d[ComplexityKind.SQ] = rowsum(t)
+    if ComplexityKind.JSD in kinds:
         m = p  # the mixture (p + u) / 2 >= u / 2 > 0
         m += u
         m *= 0.5
         np.log(m, out=t)
         t *= m
-        d = np.maximum(-rowsum(t) - 0.5 * (h_nats + log_n), 0.0) / _LN2
-    return np.clip(h_nats / log_n, 0.0, 1.0) * d
+        d[ComplexityKind.JSD] = np.maximum(-rowsum(t) - 0.5 * (h_nats + log_n), 0.0) / _LN2
+    return np.clip(h_nats / log_n, 0.0, 1.0), d
+
+
+def rows_c(kind: ComplexityKind, p: np.ndarray, n: int, rowsum,
+           scratch: np.ndarray = None) -> np.ndarray:
+    """C = H * D of each row of `p`, from `rows_hd` for `kind` alone."""
+    h, d = rows_hd(p, n, rowsum, scratch, (kind,))
+    return h * d[kind]
 
 
 def family_hdc(kind: ComplexityKind, n: float, omega: float, p_max: float):

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .complexity import ComplexityKind
 from .dist import DiscreteDistribution, uniform
 from .errors import AliasingError, DataShapeError, RangeError
-from .kernels import rows_c
+from .kernels import rows_hd
 from .optimize import threshold as complexity_threshold
 from .rows import RowList, json_bool, json_float, json_scalar, round6, write_json, write_rows
 
@@ -287,7 +287,12 @@ def spectrum_distribution(window) -> DiscreteDistribution:
 
 @dataclass
 class WindowSeries:
-    """Complexity per window, stored as columns; trailing partial window dropped."""
+    """Complexity per window, stored as columns; trailing partial window dropped.
+
+    `h` is each window's normalized spectral entropy, clipped to [0, 1], and
+    `d` its disequilibrium of `kind`, so that `c_values` is h * d; a window of
+    exact zeros, the uniform distribution, has h = 1 and d = 0.
+    """
 
     kind: ComplexityKind
     window_length: int
@@ -297,6 +302,8 @@ class WindowSeries:
     t_centers: np.ndarray
     c_values: np.ndarray
     decisions: np.ndarray
+    h: np.ndarray
+    d: np.ndarray
 
     def __len__(self):
         return int(self.c_values.size)
@@ -361,8 +368,8 @@ def _mirror_sum(t: np.ndarray) -> np.ndarray:
 
 
 def _spectrum_buffers(rows: int, window_length: int, sets: int = 1) -> list:
-    """`sets` sets of work arrays for `_batch_complexity` on up to `rows`
-    windows: the rfft output, the power spectrum and the `rows_c` scratch.
+    """`sets` sets of work arrays for `_batch_columns` on up to `rows`
+    windows: the rfft output, the power spectrum and the `rows_hd` scratch.
 
     All are views of one block; the scratch lies over the rfft output,
     which is spent once the power is taken.  The block holds at least
@@ -388,7 +395,7 @@ def _spectrum_buffers(rows: int, window_length: int, sets: int = 1) -> list:
 
 def _batch_spectra(frames: np.ndarray, buffers) -> tuple:
     """Normalized power spectra of the rows of `frames` on the N/2 + 1 rfft bins, in
-    the power array of `buffers` (see `_batch_complexity`), and the all-zero rows."""
+    the power array of `buffers` (see `_batch_columns`), and the all-zero rows."""
     spectrum, p = (b[:len(frames)] for b in buffers[:2])
     np.fft.rfft(frames, axis=1, out=spectrum)
     np.abs(spectrum, out=p)
@@ -399,21 +406,30 @@ def _batch_spectra(frames: np.ndarray, buffers) -> tuple:
     return p, zero
 
 
-def _batch_complexity(frames: np.ndarray, kind: ComplexityKind, buffers=None) -> np.ndarray:
-    """C of each row of `frames` over its normalized two-sided power spectrum.
+def _batch_columns(frames: np.ndarray, kinds, buffers=None, spectra=None) -> tuple:
+    """(h, {kind: d}) of each row of `frames` over its normalized two-sided power
+    spectrum, for each of `kinds` (`kernels.rows_hd`).
 
-    Matches `complexity_value(spectrum_distribution(row), kind)`, with
-    all-zero rows at exactly 0.  `buffers`, one set from `_spectrum_buffers`
-    for at least as many rows, holds the table-sized work, so the call
-    itself allocates only row vectors; without it, a set is allocated here.
+    h * d[kind] matches `complexity_value(spectrum_distribution(row), kind)`;
+    an all-zero row is uniform, with h = 1 and d = 0.  `buffers`, one set
+    from `_spectrum_buffers` for at least as many rows, holds the table-sized
+    work, so the call itself allocates only row vectors; without it, a set is
+    allocated here.  `spectra`, if given, an array of the rows' shape on the
+    N/2 + 1 rfft bins, receives the normalized spectra, an all-zero row as
+    uniform.
     """
     rows, window_length = frames.shape
     if buffers is None:
         buffers = _spectrum_buffers(rows, window_length)[0]
     p, zero = _batch_spectra(frames, buffers)
-    c = rows_c(kind, p, window_length, _mirror_sum, buffers[2][:rows])
-    c[zero] = 0.0
-    return c
+    if spectra is not None:
+        spectra[...] = p
+        spectra[zero] = 1.0 / window_length
+    h, d = rows_hd(p, window_length, _mirror_sum, buffers[2][:rows], kinds)
+    h[zero] = 1.0
+    for column in d.values():
+        column[zero] = 0.0
+    return h, d
 
 
 def _usable_cpus() -> int:
@@ -459,11 +475,16 @@ def complexity_series(samples, window_length: int = 2048, hop: int = None,
     c_value > threshold; when no threshold is given, the 25%-of-maximum
     rule for the window's alphabet size is used.  Windows are processed
     in batches on every usable CPU.  At most 128 windows are in flight in
-    total, whatever the number of threads, so the memory used beyond a
-    scaled copy of the record and the output columns stays
+    total, whatever the number of threads, so the memory used during a call
+    beyond a scaled copy of the record and the output columns stays
     O(128 x window_length) whatever the record length.  The values do not
-    depend on the number of threads.  `sample_rate`, which sets
-    `t_centers`, must be finite and positive (RangeError otherwise).
+    depend on the number of threads.  A record of at most 2**18 samples
+    (2 MiB) gets the columns of every kind from one spectrum pass, and
+    between calls one such scaled record and its four columns (h and each
+    kind's d, one value per window) are kept: a later call on the same
+    record, or one scaled by a power of two, with the same window length and
+    hop, of any kind, does not transform it again.  `sample_rate`, which
+    sets `t_centers`, must be finite and positive (RangeError otherwise).
     """
     x = _check_record(samples, window_length)
     if hop is None:
@@ -474,7 +495,7 @@ def complexity_series(samples, window_length: int = 2048, hop: int = None,
         raise RangeError(f"sample rate must be finite and positive, got {sample_rate!r}")
     if threshold is None:
         threshold = complexity_threshold(kind, window_length)
-    return _window_series(_frames(x, window_length, hop), hop, kind, threshold, sample_rate)
+    return _window_series(x, window_length, hop, kind, threshold, sample_rate)
 
 
 def _live_windows(rows: np.ndarray, hop: int) -> tuple:
@@ -498,10 +519,9 @@ def _live_windows(rows: np.ndarray, hop: int) -> tuple:
             min(len(rows), nonzero[-1] // step + 1))
 
 
-def _window_series(frames: np.ndarray, hop: int, kind: ComplexityKind,
-                   threshold: float, sample_rate: float) -> WindowSeries:
-    """The engine of `complexity_series`, on arguments it has validated: the
-    `_frames` at `hop` of a checked, prescaled record, and a finite positive rate.
+def _transform(frames: np.ndarray, hop: int, kinds, spectra=None) -> tuple:
+    """(h, {kind: d}) of every row of `frames`, windows `hop` samples apart, for each
+    of `kinds`; `spectra`, if given, receives the rows' spectra (`_batch_columns`).
 
     A record of more than one chunk runs on one thread per usable CPU, the
     calling thread among them; numpy releases the interpreter lock in the
@@ -512,11 +532,11 @@ def _window_series(frames: np.ndarray, hop: int, kind: ComplexityKind,
     the threads allocate no table-sized array: a thread's own allocations
     would stay in its own malloc arena and raise the peak resident memory.
 
-    A window of exact zeros has C = 0 by definition, so only the windows of
-    a chunk from its first to its last one with a nonzero sample
-    (`_live_windows`) are transformed; the others keep C = 0 with no FFT.
-    Silent windows between live ones, and windows whose power underflows to
-    zero, still get their 0 from `_batch_complexity`.
+    A window of exact zeros is uniform, with h = 1 and d = 0, so only the
+    windows of a chunk from its first to its last one with a nonzero sample
+    (`_live_windows`) are transformed; the others keep those values with no
+    FFT.  Silent windows between live ones, and windows whose power
+    underflows to zero, get them from `_batch_columns`.
     """
     n_windows, window_length = frames.shape
     threads = 1
@@ -524,7 +544,8 @@ def _window_series(frames: np.ndarray, hop: int, kind: ComplexityKind,
         threads = min(_usable_cpus(), _CHUNK_WINDOWS // _MIN_THREAD_WINDOWS)
     chunk = _CHUNK_WINDOWS // threads
     buffers = _spectrum_buffers(min(chunk, n_windows), window_length, threads)
-    c_values = np.zeros(n_windows)
+    h = np.ones(n_windows)
+    d = {kind: np.zeros(n_windows) for kind in kinds}
     starts = iter(range(0, n_windows, chunk))
     claim = threading.Lock()
 
@@ -536,14 +557,54 @@ def _window_series(frames: np.ndarray, hop: int, kind: ComplexityKind,
                 return
             lo, hi = (i + k for k in _live_windows(frames[i:min(i + chunk, n_windows)], hop))
             if lo < hi:
-                c_values[lo:hi] = _batch_complexity(frames[lo:hi], kind, buffers[thread])
+                h[lo:hi], d_rows = _batch_columns(frames[lo:hi], kinds, buffers[thread],
+                                                  None if spectra is None else spectra[lo:hi])
+                for kind, rows in d_rows.items():
+                    d[kind][lo:hi] = rows
 
     _run_threads(run_chunks, threads)
-    t_centers = (np.arange(n_windows) * hop + window_length / 2) / sample_rate
+    return h, d
+
+
+# The last record's columns: (prescaled record, window length, hop, h, {kind: d}),
+# or None.  Replaced whole, never changed in place, so a concurrent call sees one
+# entry or the other.
+_memo = None
+
+
+def _window_series(x: np.ndarray, window_length: int, hop: int, kind: ComplexityKind,
+                   threshold: float, sample_rate: float, spectra=None) -> WindowSeries:
+    """The engine of `complexity_series`, on arguments it has validated: a checked,
+    prescaled record `x` and a finite positive rate; `spectra` as in `_transform`.
+
+    A record of at most `_MIN_BLOCK` samples, the resident overhead the work
+    block already allows, is transformed once for every kind and kept in
+    `_memo`; a later call on a bit-identical record with the same window length
+    and hop only copies its columns out.  A call with `spectra` always
+    transforms, since the memo keeps no spectra.  A longer record is
+    transformed for `kind` alone and not kept.  On a miss, the old entry is
+    dropped before the work buffers are allocated.
+    """
+    global _memo
+    memo = _memo
+    if (spectra is None and memo is not None and memo[1:3] == (window_length, hop)
+            and np.array_equal(memo[0].view(np.int64), x.view(np.int64))):
+        h, d = memo[3].copy(), memo[4][kind].copy()
+    else:
+        _memo = None
+        kept = x.size <= _MIN_BLOCK
+        h, columns = _transform(_frames(x, window_length, hop), hop,
+                                tuple(ComplexityKind) if kept else (kind,), spectra)
+        d = columns[kind]
+        if kept:
+            _memo = (x, window_length, hop, h, columns)
+            h, d = h.copy(), d.copy()
+    c_values = h * d
+    t_centers = (np.arange(c_values.size) * hop + window_length / 2) / sample_rate
     return WindowSeries(kind=kind, window_length=window_length, hop=int(hop),
                         threshold=float(threshold), sample_rate=float(sample_rate),
                         t_centers=t_centers, c_values=c_values,
-                        decisions=c_values > threshold)
+                        decisions=c_values > threshold, h=h, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +704,13 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
     """
     x = _check_record(samples, window_length)
     gamma = complexity_threshold(kind, window_length, fraction)
-    frames = _frames(x, window_length, window_length)
-    series = _window_series(frames, window_length, kind, gamma, config.sample_rate)
+    distributions = None
+    if include_distributions:
+        # silent windows are not transformed, and keep the uniform distribution
+        distributions = np.full(((x.size - window_length) // window_length + 1,
+                                 window_length // 2 + 1), 1.0 / window_length)
+    series = _window_series(x, window_length, window_length, kind, gamma,
+                            config.sample_rate, distributions)
     states = classify_windows(config, x.size, window_length, window_length)
     decisions = series.decisions
     c = series.c_values
@@ -660,10 +726,6 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
         mean_c_on=float(c[on].mean()) if on.any() else math.nan,
         mean_c_off=float(c[off].mean()) if off.any() else math.nan,
     )
-    distributions = None
-    if include_distributions:
-        p, zero = _batch_spectra(frames, _spectrum_buffers(len(frames), window_length)[0])
-        distributions = np.where(zero[:, None], 1.0 / window_length, p)
     return DetectionReport(config=config, series=series, states=states, metrics=metrics,
                            distributions=distributions)
 
@@ -704,11 +766,14 @@ def read_samples(path):
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".csv":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "x":
-                raise DataShapeError(f"expected CSV header 'x', got {header!r}")
-            body = fh.read().split()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                header = fh.readline().strip()
+                if header != "x":
+                    raise DataShapeError(f"expected CSV header 'x', got {header!r}")
+                body = fh.read().split()
+        except UnicodeDecodeError:  # a ValueError, which the CLI would map to a config error
+            raise DataShapeError(f"{path.name}: sample CSV is not UTF-8 text") from None
         try:
             x = np.array([float(v) for v in body])
         except ValueError as exc:

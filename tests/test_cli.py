@@ -280,6 +280,18 @@ def test_detect_bad_sample_files_exit_4(synth_dir, tmp_path, capsys):
     assert "float64 samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [b"x\n0.5\n\xff\xfe\n", b"\xff\xfex\n0.5\n"])
+def test_detect_non_utf8_csv_exit_4(synth_dir, tmp_path, capsys, body):
+    # a bad byte in the samples or in the header is a data error that names the file
+    path = tmp_path / "latin.csv"
+    path.write_bytes(body)
+    assert main(["detect", "--input", str(path), "--config", str(synth_dir / "config.json"),
+                 "--out-dir", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: latin.csv: sample CSV is not UTF-8 text\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["random", "empty", "riff_header", "truncated"])
 def test_detect_malformed_wav_exit_4(synth_dir, tmp_path, name):
     good = tmp_path / "good.wav"

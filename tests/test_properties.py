@@ -10,6 +10,8 @@ from statcomplex import (ComplexityKind, FamilyPoint, SignalConfig, classify_win
                          complexity_series, complexity_value, family_complexity_direct,
                          family_eval, indicator_mask, jsd, kernels, normalize,
                          spectrum_distribution, total_variation)
+from statcomplex.complexity import disequilibrium
+from statcomplex.measures import entropy_normalized
 from statcomplex.sigproc import WINDOW_MIXED, WINDOW_OFF, WINDOW_ON
 
 CODES = list(ComplexityKind)
@@ -106,6 +108,16 @@ def test_rows_c_matches_scalar_oracle(kind, n, style, seed):
     ref = np.array([complexity_value(row, kind) for row in p])
     c = kernels.rows_c(kind, p.copy(), n, _row_sum)
     np.testing.assert_allclose(c, ref, rtol=1e-12, atol=1e-14)
+    # one pass for every kind: h and each d match the scalar measures, and
+    # h * d is the one-kind C bit for bit
+    h, d = kernels.rows_hd(p.copy(), n, _row_sum)
+    np.testing.assert_allclose(h, [entropy_normalized(row) for row in p],
+                               rtol=1e-12, atol=1e-14)
+    assert set(d) == set(ComplexityKind)
+    for k, column in d.items():
+        np.testing.assert_allclose(column, [disequilibrium(row, k) for row in p],
+                                   rtol=1e-12, atol=1e-14)
+    assert np.array_equal(h * d[kind], c)
 
 
 def _weights(n):

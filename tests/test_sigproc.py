@@ -32,11 +32,26 @@ from statcomplex import (
     write_series_csv,
 )
 from statcomplex import sigproc
+from statcomplex.complexity import disequilibrium
+from statcomplex.measures import entropy_normalized
 from statcomplex.sigproc import WINDOW_MIXED, WINDOW_OFF, WINDOW_ON
 
 TV = ComplexityKind.TV
 SQ = ComplexityKind.SQ
+JSD = ComplexityKind.JSD
 N = 2048
+
+
+@pytest.fixture(autouse=True)
+def _empty_series_memo():
+    # each test starts as a fresh process does: its first series call transforms
+    sigproc._memo = None
+
+
+def _one_batch(frames, kind):
+    """C of one batch over all of `frames`, for `kind` alone."""
+    h, d = sigproc._batch_columns(frames, (kind,))
+    return h * d[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +280,14 @@ def test_series_matches_scalar_oracle(kind, hop):
     x = _oracle_record()
     series = complexity_series(x, window_length=N, hop=hop, kind=kind)
     starts = np.arange(len(series)) * hop
-    ref = np.array([complexity_value(spectrum_distribution(x[s:s + N]), kind)
-                    for s in starts])
+    dists = [spectrum_distribution(x[s:s + N]) for s in starts]
+    ref = np.array([complexity_value(dist, kind) for dist in dists])
     np.testing.assert_allclose(series.c_values, ref, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(series.h, [entropy_normalized(dist) for dist in dists],
+                               rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(series.d, [disequilibrium(dist, kind) for dist in dists],
+                               rtol=1e-12, atol=1e-14)
+    assert np.array_equal(series.c_values, series.h * series.d)
     silent = np.array([not x[s:s + N].any() for s in starts])
     assert silent.any()
     assert np.all(series.c_values[silent] == 0.0)
@@ -294,11 +314,12 @@ def test_series_threads_match_one_batch(monkeypatch, kind, hop):
         for n_windows in (1, 31, 32, 33, 63, 64, 65, 128, 129, 1505):
             x = _engine_record(n_windows, hop)
             frames = sigproc._frames(sigproc._prescale(x), N, hop)
-            ref = sigproc._batch_complexity(frames, kind)
+            ref = _one_batch(frames, kind)
             if hop == 64 and n_windows >= 129:
                 assert (ref == 0.0).any()
             for cpus in (1, 2, 3, 4):
                 monkeypatch.setattr(sigproc, "_usable_cpus", lambda: cpus)
+                sigproc._memo = None  # so that every split runs a pass
                 c = complexity_series(x, window_length=N, hop=hop, kind=kind).c_values
                 assert np.array_equal(c, ref), (n_windows, cpus)
     finally:
@@ -313,24 +334,25 @@ def test_series_threads_per_record_size(monkeypatch):
     # it, one thread per usable CPU, at most 128 / 32, each taking chunks
     # of 128 / threads windows
     counts, calls = [], []
-    run_threads, batch = sigproc._run_threads, sigproc._batch_complexity
+    run_threads, batch = sigproc._run_threads, sigproc._batch_columns
 
     def counting(work, count):
         counts.append(count)
         run_threads(work, count)
 
-    def recording(frames, kind, buffers=None):
+    def recording(frames, kinds, buffers=None, spectra=None):
         calls.append((threading.get_ident(), frames.shape[0]))
-        return batch(frames, kind, buffers)
+        return batch(frames, kinds, buffers, spectra)
 
     monkeypatch.setattr(sigproc, "_run_threads", counting)
-    monkeypatch.setattr(sigproc, "_batch_complexity", recording)
+    monkeypatch.setattr(sigproc, "_batch_columns", recording)
     for cpus, n_windows, threads, chunk in ((8, 128, 1, 128), (1, 1505, 1, 128),
                                             (2, 129, 2, 64), (3, 1505, 3, 42),
                                             (8, 1505, 4, 32)):
         monkeypatch.setattr(sigproc, "_usable_cpus", lambda: cpus)
         counts.clear()
         calls.clear()
+        sigproc._memo = None  # so that every case runs a pass
         complexity_series(np.ones(N + (n_windows - 1) * 64), window_length=N, hop=64)
         assert counts == [threads]
         assert max(rows for _, rows in calls) == chunk
@@ -364,31 +386,37 @@ def _rows_between_live(frames, chunk):
 @pytest.mark.parametrize("hop", [64, 1000, 2048])
 def test_series_skips_silent_windows(monkeypatch, hop):
     # only each chunk's windows from its first to its last live one reach
-    # _batch_complexity, and C is still that of one batch over all frames
+    # _batch_columns, and C is still that of one batch over all frames
     rows = []
-    batch = sigproc._batch_complexity
+    batch = sigproc._batch_columns
 
-    def counting(frames, kind, buffers=None):
+    def counting(frames, kinds, buffers=None, spectra=None):
         rows.append(frames.shape[0])
-        return batch(frames, kind, buffers)
+        return batch(frames, kinds, buffers, spectra)
 
     x = _silent_record(hop)
     frames = sigproc._frames(sigproc._prescale(x), N, hop)
-    ref = batch(frames, TV)
+    ref = _one_batch(frames, TV)
     noisy = np.random.default_rng(0).normal(size=x.size)
     noisy[1::2] = 0.0  # hops are even, so no window starts with a zero
-    monkeypatch.setattr(sigproc, "_batch_complexity", counting)
+    monkeypatch.setattr(sigproc, "_batch_columns", counting)
     for cpus in (1, 2, 3, 4):
         monkeypatch.setattr(sigproc, "_usable_cpus", lambda: cpus)
         rows.clear()
-        assert np.array_equal(complexity_series(x, window_length=N, hop=hop).c_values, ref)
+        sigproc._memo = None  # so that every record runs a pass
+        series = complexity_series(x, window_length=N, hop=hop)
+        assert np.array_equal(series.c_values, ref)
+        silent = ~frames.any(axis=1)
+        assert np.all(series.h[silent] == 1.0) and np.all(series.d[silent] == 0.0)
         expected = _rows_between_live(frames, 128 // cpus)
         assert sum(rows) == expected < len(frames), cpus
         rows.clear()
+        sigproc._memo = None
         assert np.all(complexity_series(np.zeros(x.size), window_length=N, hop=hop).c_values
                       == 0.0)
         assert rows == []
         rows.clear()
+        sigproc._memo = None
         complexity_series(noisy, window_length=N, hop=hop)
         assert sum(rows) == len(frames), cpus
     # a window of tiny samples is transformed, its power underflows, and its C is 0
@@ -396,8 +424,10 @@ def test_series_skips_silent_windows(monkeypatch, hop):
     x[:N] = np.random.default_rng(1).normal(size=N)
     x[2 * N:3 * N] = 1e-200
     rows.clear()
-    c = complexity_series(x, window_length=N, hop=N).c_values
+    series = complexity_series(x, window_length=N, hop=N)
+    c = series.c_values
     assert rows == [3] and c[0] > 0.0 and np.all(c[1:] == 0.0)
+    assert np.all(series.h[1:] == 1.0) and np.all(series.d[1:] == 0.0)
 
 
 def test_series_sample_rate_must_be_finite_and_positive():
@@ -417,12 +447,12 @@ def test_series_thread_error_reaches_caller(monkeypatch, where):
     # the named side raises on its third chunk, and the other side waits
     # for that before its first, so each case is sure to happen
     monkeypatch.setattr(sigproc, "_usable_cpus", lambda: 4)
-    batch = sigproc._batch_complexity
+    batch = sigproc._batch_columns
     caller = threading.get_ident()
     local = threading.local()
     raised = threading.Event()
 
-    def failing(frames, kind, buffers=None):
+    def failing(frames, kinds, buffers=None, spectra=None):
         local.calls = getattr(local, "calls", 0) + 1
         if (threading.get_ident() == caller) == (where == "caller"):
             if local.calls == 3:
@@ -430,13 +460,181 @@ def test_series_thread_error_reaches_caller(monkeypatch, where):
                 raise _PlantedError(where)
         elif local.calls == 1:
             assert raised.wait(timeout=30)
-        return batch(frames, kind, buffers)
+        return batch(frames, kinds, buffers, spectra)
 
-    monkeypatch.setattr(sigproc, "_batch_complexity", failing)
+    monkeypatch.setattr(sigproc, "_batch_columns", failing)
     before = threading.active_count()
     with pytest.raises(_PlantedError, match=where):
         complexity_series(np.ones(N + 1504 * 64), window_length=N, hop=64)
     assert threading.active_count() == before
+    assert sigproc._memo is None  # a failed pass leaves no entry
+
+
+def _fresh_columns(x, window_length=N, hop=64):
+    """(c_values, h, d) of every kind from a memo-cleared call each."""
+    out = {}
+    for kind in ComplexityKind:
+        sigproc._memo = None
+        s = complexity_series(x, window_length=window_length, hop=hop, kind=kind)
+        out[kind] = (s.c_values, s.h, s.d)
+    sigproc._memo = None
+    return out
+
+
+def _counting_transform(monkeypatch):
+    """Patch `_transform` to log the frame shape of each pass; returns the log."""
+    passes = []
+    transform = sigproc._transform
+
+    def counting(frames, *args):
+        passes.append(frames.shape)
+        return transform(frames, *args)
+
+    monkeypatch.setattr(sigproc, "_transform", counting)
+    return passes
+
+
+@pytest.mark.parametrize("order", [(SQ, JSD, TV), (TV, JSD, SQ)])
+@pytest.mark.parametrize("hop", [64, N])
+def test_series_memo_matches_fresh_calls(monkeypatch, order, hop):
+    # a record's kinds after the first come from the memo, bit for bit as a
+    # fresh call gives them; so does a silent record's
+    for x in (_silent_record(64), _engine_record(300, 64)):
+        ref = _fresh_columns(x, hop=hop)
+        passes = _counting_transform(monkeypatch)
+        for kind in order:
+            s = complexity_series(x, window_length=N, hop=hop, kind=kind)
+            for got, want in zip((s.c_values, s.h, s.d), ref[kind]):
+                assert np.array_equal(got, want), kind
+            assert np.array_equal(s.decisions, s.c_values > s.threshold)
+        assert len(passes) == 1
+        monkeypatch.undo()
+
+
+def test_series_memo_sees_a_record_changed_in_place(monkeypatch):
+    x = _engine_record(200, 64)
+    first = complexity_series(x, window_length=N, hop=64).c_values
+    x[:N] = 0.0
+    after = complexity_series(x, window_length=N, hop=64).c_values
+    assert after[0] == 0.0 < first[0]
+    # a power-of-two multiple has the same prescaled record, and the same C
+    passes = _counting_transform(monkeypatch)
+    assert np.array_equal(complexity_series(4.0 * x, window_length=N, hop=64).c_values,
+                          after)
+    assert passes == []
+    assert np.array_equal(after, _fresh_columns(x)[TV][0])
+
+
+def test_series_memo_keys_on_window_length_and_hop(monkeypatch):
+    x = _engine_record(200, 64)
+    ref = {(length, hop): _fresh_columns(x, length, hop)
+           for length, hop in ((N, 64), (N, 65), (N // 2, 65))}
+    passes = _counting_transform(monkeypatch)
+    for length, hop, hit in ((N, 64, False), (N, 64, True), (N, 65, False),
+                             (N // 2, 65, False), (N // 2, 65, True), (N, 64, False)):
+        del passes[:]
+        for kind in (JSD, SQ):
+            s = complexity_series(x, window_length=length, hop=hop, kind=kind)
+            assert np.array_equal(s.c_values, ref[length, hop][kind][0])
+        assert len(passes) == (0 if hit else 1), (length, hop)
+
+
+def test_series_memo_keeps_its_columns_from_the_caller():
+    # the columns of a series from a pass and of one from the memo are the caller's
+    x = _engine_record(200, 64)
+    ref = _fresh_columns(x)
+    first, second = (complexity_series(x, window_length=N, hop=64, kind=SQ) for _ in "12")
+    for s in (first, second):
+        for column in (s.c_values, s.h, s.d, s.decisions, s.t_centers):
+            column[:] = 7
+    for kind in (SQ, TV):
+        s = complexity_series(x, window_length=N, hop=64, kind=kind)
+        for got, want in zip((s.c_values, s.h, s.d), ref[kind]):
+            assert np.array_equal(got, want), kind
+        assert s.t_centers[0] == N / 2
+
+
+def test_series_memo_holds_no_record_above_its_bound(monkeypatch):
+    monkeypatch.setattr(sigproc, "_usable_cpus", lambda: 1)
+    small = _engine_record(100, N)
+    complexity_series(small, window_length=N, hop=N)
+    assert sigproc._memo is not None and sigproc._memo[0].size == small.size
+    at_bound = np.resize(small, sigproc._MIN_BLOCK)
+    complexity_series(at_bound, window_length=N, hop=N)
+    assert sigproc._memo[0].size == sigproc._MIN_BLOCK
+    above = np.resize(small, sigproc._MIN_BLOCK + 1)
+    passes = _counting_transform(monkeypatch)
+    for kind in ComplexityKind:
+        s = complexity_series(above, window_length=N, hop=N, kind=kind)
+        assert sigproc._memo is None
+        assert np.array_equal(s.c_values, _one_batch(sigproc._frames(
+            sigproc._prescale(above), N, N), kind))
+    assert len(passes) == 3
+
+
+def test_series_memo_two_threads_two_records(monkeypatch):
+    # a thread on record a stops inside its pass while this thread runs record
+    # b for every kind, then publishes a's entry; each gets its own record's C
+    a, b = (np.random.default_rng(seed).normal(size=40 * N) for seed in (1, 2))
+    ref = {"a": _fresh_columns(a, hop=N), "b": _fresh_columns(b, hop=N)}
+    transform = sigproc._transform
+    inside, resume = threading.Event(), threading.Event()
+    caller = threading.get_ident()
+
+    def pausing(frames, *args):
+        if threading.get_ident() != caller and not inside.is_set():
+            inside.set()
+            assert resume.wait(timeout=30)
+        return transform(frames, *args)
+
+    monkeypatch.setattr(sigproc, "_transform", pausing)
+    got = []
+
+    def run(name, x):
+        for kind in ComplexityKind:
+            got.append((name, kind, complexity_series(x, window_length=N, hop=N, kind=kind)))
+
+    thread = threading.Thread(target=run, args=("a", a))
+    thread.start()
+    try:
+        assert inside.wait(timeout=30)
+        run("b", b)
+    finally:
+        resume.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    run("b", b)
+    assert len(got) == 9
+    for name, kind, s in got:
+        for column, want in zip((s.c_values, s.h, s.d), ref[name][kind]):
+            assert np.array_equal(column, want), (name, kind)
+
+
+def test_series_memo_under_thread_stress():
+    # more callers than cores, each on its own record and switching often:
+    # every call gets its own record's C, whatever entry the others left
+    records = [np.random.default_rng(seed).normal(size=40 * N) for seed in range(6)]
+    refs = [_fresh_columns(x, hop=N) for x in records]
+    right, wrong = [], []
+
+    def run(i):
+        for _ in range(4):
+            for kind in ComplexityKind:
+                c = complexity_series(records[i], window_length=N, hop=N, kind=kind).c_values
+                (right if np.array_equal(c, refs[i][kind][0]) else wrong).append((i, kind))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(records))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and len(right) == 6 * 4 * 3
 
 
 def test_spectrum_buffers_layout():
