@@ -4,9 +4,8 @@ Kernels
 -------
 rows_hd(p, n, rowsum, scratch=None, kinds=all)
     Entropy factor and the disequilibrium of each kind, per row of a table
-    of n-state distributions, from one pass over the table.
-rows_c(kind, p, n, rowsum, scratch=None)
-    Complexity of each row of such a table, for one kind.
+    of n-state distributions, from one pass over the table.  A row's
+    complexity is h * d[kind].
 family_hdc(kind, n, omega, p_max)
     Closed-form (entropy factor, disequilibrium, complexity) of one
     two-level family point.  Continuous omega permitted.
@@ -92,13 +91,6 @@ def rows_hd(p: np.ndarray, n: int, rowsum, scratch: np.ndarray = None,
         t *= m
         d[ComplexityKind.JSD] = np.maximum(-rowsum(t) - 0.5 * (h_nats + log_n), 0.0) / _LN2
     return np.clip(h_nats / log_n, 0.0, 1.0), d
-
-
-def rows_c(kind: ComplexityKind, p: np.ndarray, n: int, rowsum,
-           scratch: np.ndarray = None) -> np.ndarray:
-    """C = H * D of each row of `p`, from `rows_hd` for `kind` alone."""
-    h, d = rows_hd(p, n, rowsum, scratch, (kind,))
-    return h * d[kind]
 
 
 def family_hdc(kind: ComplexityKind, n: float, omega: float, p_max: float):
@@ -193,5 +185,6 @@ def simplex3_c_grid(kind: ComplexityKind, m: int) -> np.ndarray:
         z = 1.0 - x - y
         inside = z >= -1e-12
         cells = np.stack(np.broadcast_arrays(x, y, np.maximum(z, 0.0)), axis=-1)[inside]
-        out[i0:i1][inside] = rows_c(kind, cells, 3, lambda t: t[:, 0] + t[:, 1] + t[:, 2])
+        h, d = rows_hd(cells, 3, lambda t: t[:, 0] + t[:, 1] + t[:, 2], kinds=(kind,))
+        out[i0:i1][inside] = h * d[kind]
     return out

@@ -353,11 +353,6 @@ def _prescale(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, -np.frexp(peak)[1])
 
 
-def _frames(x: np.ndarray, window_length: int, hop: int) -> np.ndarray:
-    """Read-only (windows, window_length) view of every full window."""
-    return sliding_window_view(x, window_length)[::hop]
-
-
 def _mirror_sum(t: np.ndarray) -> np.ndarray:
     """Row sums over all N spectrum bins of a term given on the N/2 + 1 rfft bins.
 
@@ -367,7 +362,7 @@ def _mirror_sum(t: np.ndarray) -> np.ndarray:
     return t[:, 0] + t[:, -1] + 2.0 * t[:, 1:-1].sum(axis=1)
 
 
-def _spectrum_buffers(rows: int, window_length: int, sets: int = 1) -> list:
+def _spectrum_buffers(rows: int, window_length: int, sets: int) -> list:
     """`sets` sets of work arrays for `_batch_columns` on up to `rows`
     windows: the rfft output, the power spectrum and the `rows_hd` scratch.
 
@@ -393,39 +388,30 @@ def _spectrum_buffers(rows: int, window_length: int, sets: int = 1) -> list:
             for i in range(0, 3 * size * sets, 3 * size)]
 
 
-def _batch_spectra(frames: np.ndarray, buffers) -> tuple:
-    """Normalized power spectra of the rows of `frames` on the N/2 + 1 rfft bins, in
-    the power array of `buffers` (see `_batch_columns`), and the all-zero rows."""
-    spectrum, p = (b[:len(frames)] for b in buffers[:2])
+def _batch_columns(frames: np.ndarray, kinds, buffers, spectra=None) -> tuple:
+    """(h, {kind: d}) of each row of `frames` over its normalized two-sided power
+    spectrum, for each of `kinds` (`kernels.rows_hd`).
+
+    h * d[kind] matches `complexity_value(spectrum_distribution(row), kind)`;
+    an all-zero row is uniform, with h = 1 and d = 0.  The spectrum is taken
+    on the N/2 + 1 rfft bins.  `buffers`, one set from `_spectrum_buffers`
+    for at least as many rows, holds the table-sized work, so the call itself
+    allocates only row vectors.  `spectra`, if given, an array of the rows'
+    shape on the rfft bins, receives the normalized spectra, an all-zero row
+    as uniform.
+    """
+    rows, window_length = frames.shape
+    spectrum, p, scratch = (b[:rows] for b in buffers)
     np.fft.rfft(frames, axis=1, out=spectrum)
     np.abs(spectrum, out=p)
     p *= p
     total = _mirror_sum(p)
     zero = total == 0.0
     p /= np.where(zero, 1.0, total)[:, None]
-    return p, zero
-
-
-def _batch_columns(frames: np.ndarray, kinds, buffers=None, spectra=None) -> tuple:
-    """(h, {kind: d}) of each row of `frames` over its normalized two-sided power
-    spectrum, for each of `kinds` (`kernels.rows_hd`).
-
-    h * d[kind] matches `complexity_value(spectrum_distribution(row), kind)`;
-    an all-zero row is uniform, with h = 1 and d = 0.  `buffers`, one set
-    from `_spectrum_buffers` for at least as many rows, holds the table-sized
-    work, so the call itself allocates only row vectors; without it, a set is
-    allocated here.  `spectra`, if given, an array of the rows' shape on the
-    N/2 + 1 rfft bins, receives the normalized spectra, an all-zero row as
-    uniform.
-    """
-    rows, window_length = frames.shape
-    if buffers is None:
-        buffers = _spectrum_buffers(rows, window_length)[0]
-    p, zero = _batch_spectra(frames, buffers)
     if spectra is not None:
         spectra[...] = p
         spectra[zero] = 1.0 / window_length
-    h, d = rows_hd(p, window_length, _mirror_sum, buffers[2][:rows], kinds)
+    h, d = rows_hd(p, window_length, _mirror_sum, scratch, kinds)
     h[zero] = 1.0
     for column in d.values():
         column[zero] = 0.0
@@ -593,7 +579,7 @@ def _window_series(x: np.ndarray, window_length: int, hop: int, kind: Complexity
     else:
         _memo = None
         kept = x.size <= _MIN_BLOCK
-        h, columns = _transform(_frames(x, window_length, hop), hop,
+        h, columns = _transform(sliding_window_view(x, window_length)[::hop], hop,
                                 tuple(ComplexityKind) if kept else (kind,), spectra)
         d = columns[kind]
         if kept:
@@ -681,7 +667,7 @@ class DetectionMetrics:
 @dataclass
 class DetectionReport:
     """Windowed decisions against the config's ground truth; kind and threshold are the
-    series'.  `distributions`: each window's N/2 + 1 bins from `_batch_spectra`, or None."""
+    series'.  `distributions`: each window's N/2 + 1 bins from `_batch_columns`, or None."""
 
     config: SignalConfig
     series: WindowSeries

@@ -106,7 +106,8 @@ def _table(style, n, seed, rows=8):
 def test_rows_c_matches_scalar_oracle(kind, n, style, seed):
     p = _table(style, n, seed)
     ref = np.array([complexity_value(row, kind) for row in p])
-    c = kernels.rows_c(kind, p.copy(), n, _row_sum)
+    one_h, one_d = kernels.rows_hd(p.copy(), n, _row_sum, kinds=(kind,))
+    c = one_h * one_d[kind]
     np.testing.assert_allclose(c, ref, rtol=1e-12, atol=1e-14)
     # one pass for every kind: h and each d match the scalar measures, and
     # h * d is the one-kind C bit for bit

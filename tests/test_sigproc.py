@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from statcomplex import (
     AliasingError,
@@ -50,7 +51,7 @@ def _empty_series_memo():
 
 def _one_batch(frames, kind):
     """C of one batch over all of `frames`, for `kind` alone."""
-    h, d = sigproc._batch_columns(frames, (kind,))
+    h, d = sigproc._batch_columns(frames, (kind,), sigproc._spectrum_buffers(len(frames), N, 1)[0])
     return h * d[kind]
 
 
@@ -313,7 +314,7 @@ def test_series_threads_match_one_batch(monkeypatch, kind, hop):
     try:
         for n_windows in (1, 31, 32, 33, 63, 64, 65, 128, 129, 1505):
             x = _engine_record(n_windows, hop)
-            frames = sigproc._frames(sigproc._prescale(x), N, hop)
+            frames = sliding_window_view(sigproc._prescale(x), N)[::hop]
             ref = _one_batch(frames, kind)
             if hop == 64 and n_windows >= 129:
                 assert (ref == 0.0).any()
@@ -340,7 +341,7 @@ def test_series_threads_per_record_size(monkeypatch):
         counts.append(count)
         run_threads(work, count)
 
-    def recording(frames, kinds, buffers=None, spectra=None):
+    def recording(frames, kinds, buffers, spectra):
         calls.append((threading.get_ident(), frames.shape[0]))
         return batch(frames, kinds, buffers, spectra)
 
@@ -390,12 +391,12 @@ def test_series_skips_silent_windows(monkeypatch, hop):
     rows = []
     batch = sigproc._batch_columns
 
-    def counting(frames, kinds, buffers=None, spectra=None):
+    def counting(frames, kinds, buffers, spectra):
         rows.append(frames.shape[0])
         return batch(frames, kinds, buffers, spectra)
 
     x = _silent_record(hop)
-    frames = sigproc._frames(sigproc._prescale(x), N, hop)
+    frames = sliding_window_view(sigproc._prescale(x), N)[::hop]
     ref = _one_batch(frames, TV)
     noisy = np.random.default_rng(0).normal(size=x.size)
     noisy[1::2] = 0.0  # hops are even, so no window starts with a zero
@@ -452,7 +453,7 @@ def test_series_thread_error_reaches_caller(monkeypatch, where):
     local = threading.local()
     raised = threading.Event()
 
-    def failing(frames, kinds, buffers=None, spectra=None):
+    def failing(frames, kinds, buffers, spectra):
         local.calls = getattr(local, "calls", 0) + 1
         if (threading.get_ident() == caller) == (where == "caller"):
             if local.calls == 3:
@@ -567,8 +568,8 @@ def test_series_memo_holds_no_record_above_its_bound(monkeypatch):
     for kind in ComplexityKind:
         s = complexity_series(above, window_length=N, hop=N, kind=kind)
         assert sigproc._memo is None
-        assert np.array_equal(s.c_values, _one_batch(sigproc._frames(
-            sigproc._prescale(above), N, N), kind))
+        assert np.array_equal(s.c_values, _one_batch(
+            sliding_window_view(sigproc._prescale(above), N)[::N], kind))
     assert len(passes) == 3
 
 
