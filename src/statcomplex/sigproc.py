@@ -246,17 +246,23 @@ def synthesize(config: SignalConfig) -> np.ndarray:
 
     The cosine sum is gated by the on-interval indicator; noise (if any)
     covers the full record and is drawn from the child stream
-    [config.seed, 1].
+    [config.seed, 1].  A record that is not finite in float64, say from
+    amplitudes whose sum overflows, raises RangeError.
     """
     n = config.n_samples
     t = np.arange(n) / config.sample_rate
     clean = np.zeros(n)
-    for comp in config.components:
-        clean += comp.amplitude * np.cos(TWO_PI * comp.frequency * t + comp.phase)
-    x = np.where(indicator_mask(config, n), clean, 0.0)
-    if config.noise_sigma > 0.0:
-        rng = np.random.default_rng([config.seed, 1])
-        x = x + rng.normal(0.0, config.noise_sigma, size=n)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, as one error
+        for comp in config.components:
+            clean += comp.amplitude * np.cos(TWO_PI * comp.frequency * t + comp.phase)
+        x = np.where(indicator_mask(config, n), clean, 0.0)
+        if config.noise_sigma > 0.0:
+            rng = np.random.default_rng([config.seed, 1])
+            x = x + rng.normal(0.0, config.noise_sigma, size=n)
+    # as in _prescale: a NaN sample makes the peak NaN, an infinite one infinite
+    if n and not np.isfinite(max(x.max(), -x.min())):
+        raise RangeError("the record overflows float64: the config's amplitudes "
+                         "or noise level are too large")
     return x
 
 
@@ -475,8 +481,9 @@ def complexity_series(samples, window_length: int = 2048, hop: int = None,
     x = _check_record(samples, window_length)
     if hop is None:
         hop = window_length
-    if not isinstance(hop, (int, np.integer)) or hop < 1:
+    if not isinstance(hop, (int, np.integer)) or isinstance(hop, bool) or hop < 1:
         raise RangeError("hop must be a positive integer number of samples")
+    window_length, hop = int(window_length), int(hop)
     if not 0.0 < sample_rate < math.inf:
         raise RangeError(f"sample rate must be finite and positive, got {sample_rate!r}")
     if threshold is None:
@@ -587,7 +594,7 @@ def _window_series(x: np.ndarray, window_length: int, hop: int, kind: Complexity
             h, d = h.copy(), d.copy()
     c_values = h * d
     t_centers = (np.arange(c_values.size) * hop + window_length / 2) / sample_rate
-    return WindowSeries(kind=kind, window_length=window_length, hop=int(hop),
+    return WindowSeries(kind=kind, window_length=window_length, hop=hop,
                         threshold=float(threshold), sample_rate=float(sample_rate),
                         t_centers=t_centers, c_values=c_values,
                         decisions=c_values > threshold, h=h, d=d)
@@ -689,6 +696,7 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
     engine's spectra in the report, a window of zeros as uniform.
     """
     x = _check_record(samples, window_length)
+    window_length = int(window_length)
     gamma = complexity_threshold(kind, window_length, fraction)
     distributions = None
     if include_distributions:
@@ -722,7 +730,8 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
 
 def write_samples(path, x, sample_rate: float = None) -> None:
     """Save a record: .csv (header 'x'), .wav (16-bit PCM mono, peak-scaled
-    into [-1, 1)), or .raw/.bin/.f64 (little-endian float64)."""
+    into [-1, 1); a non-finite sample raises DataShapeError), or
+    .raw/.bin/.f64 (little-endian float64)."""
     path = Path(path)
     x = np.asarray(x, dtype=np.float64)
     suffix = path.suffix.lower()
@@ -733,7 +742,9 @@ def write_samples(path, x, sample_rate: float = None) -> None:
     elif suffix == ".wav":
         if sample_rate is None:
             raise RangeError("writing WAV needs a sample rate")
-        peak = float(np.max(np.abs(x))) if x.size else 0.0
+        peak = max(x.max(), -x.min()) if x.size else 0.0
+        if not np.isfinite(peak):
+            raise DataShapeError(f"{path.name}: a WAV record must hold finite samples")
         scale = 32767.0 / peak if peak > 0.0 else 0.0
         ints = np.round(x * scale).astype("<i2")
         with wave.open(str(path), "wb") as wf:

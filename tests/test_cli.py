@@ -201,6 +201,21 @@ def test_synth_bad_noise_exit_3(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_overflowing_config_exit_3(tmp_path, capsys):
+    # the components' sum overflows float64: one error line, no numpy warning
+    # (an error under this suite's filters) and no file
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps({
+        "sample_rate": 8192, "duration": 1.0,
+        "components": [{"amplitude": 1e308, "frequency": 440.0},
+                       {"amplitude": 1e308, "frequency": 880.0}]}))
+    assert main(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out"),
+                 "--output", str(tmp_path / "x.wav")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loud.json"]
+
+
 def test_synth_infinite_snr_is_clean(tmp_path, capsys):
     assert main(["synth", "--snr", "inf", "--out-dir", str(tmp_path)]) == 0
     assert "effective SNR: inf" in capsys.readouterr().out

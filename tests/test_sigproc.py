@@ -169,6 +169,15 @@ def test_synthesize_gating():
     assert np.max(np.abs(x[mask])) > 0.9
 
 
+def test_synthesize_refuses_an_overflowing_record():
+    # numpy's overflow and invalid-value warnings would be errors here too
+    loud = tuple(HarmonicComponent(1e308, f) for f in (440.0, 880.0))
+    for cfg in (SignalConfig(sample_rate=8192, duration=1.0, components=loud),
+                SignalConfig(sample_rate=8192, duration=1.0, noise_sigma=1e308)):
+        with pytest.raises(RangeError, match="overflows float64"):
+            synthesize(cfg)
+
+
 # ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
@@ -247,8 +256,9 @@ def test_window_count_with_hop():
     x = np.zeros(10000)
     assert len(complexity_series(x, window_length=2048, hop=1024)) == (10000 - 2048) // 1024 + 1
     assert len(complexity_series(x, window_length=2048)) == 4
-    with pytest.raises(RangeError):
-        complexity_series(x, window_length=2048, hop=0)
+    for bad in (0, True, np.True_, 1024.0):
+        with pytest.raises(RangeError, match="hop must be a positive integer"):
+            complexity_series(x, window_length=2048, hop=bad)
 
 
 def test_series_too_short():
@@ -817,6 +827,10 @@ def test_sample_io_errors(tmp_path):
         read_samples(bad)
     with pytest.raises(RangeError):
         write_samples(tmp_path / "x.wav", np.zeros(16))  # rate required
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(DataShapeError, match="finite samples"):
+            write_samples(tmp_path / "x.wav", np.array([0.0, bad, 1.0]), sample_rate=8192)
+    assert not (tmp_path / "x.wav").exists()
     cut = tmp_path / "cut.f64"
     write_samples(cut, np.ones(16))
     cut.write_bytes(cut.read_bytes()[:-3])
@@ -858,6 +872,19 @@ def test_report_json(tmp_path):
     payload = json.loads(path.read_text())
     assert len(payload["distributions"]) == 40
     assert len(payload["distributions"][0]) == 2048
+
+
+def test_numpy_integer_window_length_and_hop_are_plain_ints(tmp_path):
+    cfg = reference_config(3, seed=0)
+    x = synthesize(cfg)
+    for length in (2048, np.int64(2048)):
+        report = detect(x, cfg, TV, window_length=length)
+        assert type(report.series.window_length) is int and type(report.series.hop) is int
+        write_report_json(tmp_path / f"{type(length).__name__}.json", report)
+    assert (tmp_path / "int64.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+    s = complexity_series(x, window_length=np.int64(2048), hop=np.int32(512))
+    assert type(s.window_length) is int and type(s.hop) is int
+    assert sigproc._memo[1:3] == (2048, 512) and {type(v) for v in sigproc._memo[1:3]} == {int}
 
 
 # Records for the writer's byte-identity test: (samples, config, include_distributions)
