@@ -23,6 +23,7 @@ import reprlib
 import threading
 import wave
 from bisect import bisect_left, bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -431,32 +432,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_threads(work, count: int) -> None:
-    """Call `work(0)` here and `work(i)`, 0 < i < count, on one new thread
-    each; once every thread has ended, re-raise the first exception."""
-    errors = [None] * count
-
-    def guarded(i):
-        try:
-            work(i)
-        except BaseException as exc:  # re-raised below, in the calling thread
-            errors[i] = exc
-
-    threads = []
-    try:
-        for i in range(1, count):
-            thread = threading.Thread(target=guarded, args=(i,))
-            thread.start()
-            threads.append(thread)
-        guarded(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
 def complexity_series(samples, window_length: int = 2048, hop: int = None,
                       kind: ComplexityKind = ComplexityKind.TV,
                       threshold: float = None, sample_rate: float = 1.0) -> WindowSeries:
@@ -516,14 +491,17 @@ def _transform(frames: np.ndarray, hop: int, kinds, spectra=None) -> tuple:
     """(h, {kind: d}) of every row of `frames`, windows `hop` samples apart, for each
     of `kinds`; `spectra`, if given, receives the rows' spectra (`_batch_columns`).
 
-    A record of more than one chunk runs on one thread per usable CPU, the
-    calling thread among them; numpy releases the interpreter lock in the
-    FFT and the elementwise steps.  The threads take chunks of consecutive
-    windows in turn until none is left, so a thread on a busy core takes
-    fewer of them, and no thread waits on another for more than one chunk.
-    Each thread's buffers are allocated here, before any thread starts, so
-    the threads allocate no table-sized array: a thread's own allocations
-    would stay in its own malloc arena and raise the peak resident memory.
+    A record of more than one chunk runs on one thread per usable CPU: the
+    calling thread and the workers of a `concurrent.futures` pool.  The pool
+    is shut down before the call returns, which raises the first error of the
+    calling thread, or else of a worker, once every thread has ended.  numpy
+    releases the interpreter lock in the FFT and the elementwise steps.  The
+    threads take chunks of consecutive windows in turn until none is left, so
+    a thread on a busy core takes fewer of them, and no thread waits on
+    another for more than one chunk.  Each thread's buffers are allocated
+    here, before any thread starts, so the threads allocate no table-sized
+    array: a thread's own allocations would stay in its own malloc arena and
+    raise the peak resident memory.
 
     A window of exact zeros is uniform, with h = 1 and d = 0, so only the
     windows of a chunk from its first to its last one with a nonzero sample
@@ -555,7 +533,11 @@ def _transform(frames: np.ndarray, hop: int, kinds, spectra=None) -> tuple:
                 for kind, rows in d_rows.items():
                     d[kind][lo:hi] = rows
 
-    _run_threads(run_chunks, threads)
+    with ThreadPoolExecutor(max(threads - 1, 1)) as pool:
+        workers = [pool.submit(run_chunks, thread) for thread in range(1, threads)]
+        run_chunks(0)
+    for worker in workers:
+        worker.result()
     return h, d
 
 

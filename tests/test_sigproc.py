@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -345,17 +346,23 @@ def test_series_threads_per_record_size(monkeypatch):
     # it, one thread per usable CPU, at most 128 / 32, each taking chunks
     # of 128 / threads windows
     counts, calls = [], []
-    run_threads, batch = sigproc._run_threads, sigproc._batch_columns
+    batch = sigproc._batch_columns
 
-    def counting(work, count):
-        counts.append(count)
-        run_threads(work, count)
+    class CountingPool(ThreadPoolExecutor):
+        # each pool counts the calling thread and one per submitted worker
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts.append(1)
+
+        def submit(self, *args, **kwargs):
+            counts[-1] += 1
+            return super().submit(*args, **kwargs)
 
     def recording(frames, kinds, buffers, spectra):
         calls.append((threading.get_ident(), frames.shape[0]))
         return batch(frames, kinds, buffers, spectra)
 
-    monkeypatch.setattr(sigproc, "_run_threads", counting)
+    monkeypatch.setattr(sigproc, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(sigproc, "_batch_columns", recording)
     for cpus, n_windows, threads, chunk in ((8, 128, 1, 128), (1, 1505, 1, 128),
                                             (2, 129, 2, 64), (3, 1505, 3, 42),
@@ -368,6 +375,7 @@ def test_series_threads_per_record_size(monkeypatch):
         assert counts == [threads]
         assert max(rows for _, rows in calls) == chunk
         assert sum(rows for _, rows in calls) == n_windows
+        assert len({ident for ident, _ in calls}) <= threads
         if threads == 1:
             assert {ident for ident, _ in calls} == {threading.get_ident()}
 
