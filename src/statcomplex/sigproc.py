@@ -87,12 +87,27 @@ def _json_int(value) -> int:
     return value
 
 
-def _interval(value):
-    """A pair of times as floats; None (the whole record) stays None."""
+def _json_number(value, convert=float):
+    """`convert(value)` for a JSON number: a bool or a string, which `float`
+    would take for one, is refused."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(value)
+    return convert(value)
+
+
+def _json_array(value):
+    """A JSON array; `list` would take a string or an object too."""
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return value
+
+
+def _interval(value, number=float):
+    """A pair of times, each through `number`; None (the whole record) stays None."""
     if value is None:
         return None
     start, end = value
-    return float(start), float(end)
+    return number(start), number(end)
 
 
 @dataclass(frozen=True)
@@ -117,7 +132,7 @@ class HarmonicComponent:
     @classmethod
     def from_dict(cls, d: dict) -> "HarmonicComponent":
         values = _from_json(d, "component",
-                            {"amplitude": float, "frequency": float, "phase": float})
+                            dict.fromkeys(("amplitude", "frequency", "phase"), _json_number))
         if "frequency" not in values:
             raise RangeError("component needs a frequency")
         return cls(**{"amplitude": 1.0, **values})
@@ -165,14 +180,15 @@ class SignalConfig:
 
     @property
     def signal_power(self) -> float:
-        return sum(c.amplitude ** 2 / 2.0 for c in self.components)
+        # a float product overflows to inf, where ** 2 raises OverflowError
+        return sum(c.amplitude * c.amplitude / 2.0 for c in self.components)
 
     @property
     def effective_snr(self) -> float:
         """On-interval signal power over noise power; inf for a clean signal."""
         if self.noise_sigma == 0.0:
             return math.inf
-        return self.signal_power / self.noise_sigma ** 2
+        return self.signal_power / (self.noise_sigma * self.noise_sigma)
 
     def to_dict(self) -> dict:
         return {**vars(self), "components": [c.to_dict() for c in self.components]}
@@ -181,8 +197,9 @@ class SignalConfig:
     def from_dict(cls, d: dict) -> "SignalConfig":
         values = _from_json(d, "config", {
             # operator.pos takes numbers only, and keeps an int exact
-            "sample_rate": operator.pos, "duration": float, "components": list,
-            "noise_sigma": float, "indicator_on": _interval, "seed": _json_int})
+            "sample_rate": lambda value: _json_number(value, operator.pos),
+            "duration": _json_number, "components": _json_array, "noise_sigma": _json_number,
+            "indicator_on": lambda value: _interval(value, _json_number), "seed": _json_int})
         if "sample_rate" not in values or "duration" not in values:
             raise RangeError("config needs sample_rate and duration")
         values["components"] = tuple(map(HarmonicComponent.from_dict, values.get("components", ())))

@@ -216,6 +216,19 @@ def test_synth_overflowing_config_exit_3(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["loud.json"]
 
 
+@pytest.mark.parametrize("sigma, amplitude, snr", [("1e200", 1.0, "0"), ("1.0", 1e200, "inf")])
+def test_synth_huge_noise_or_amplitude_exit_0(tmp_path, sigma, amplitude, snr):
+    # squaring 1e200 overflows to inf rather than raising after the files are written
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps({"sample_rate": 8192, "duration": 1.0, "noise_sigma": 1.0,
+                                "components": [{"amplitude": amplitude, "frequency": 440.0}]}))
+    result = run_module("synth", "--config", str(path), "--sigma", sigma,
+                        "--out-dir", str(tmp_path / "out"))
+    assert result.returncode == 0 and result.stderr == ""
+    assert f"effective SNR: {snr}\n" in result.stdout
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["config.json", "samples.f64"]
+
+
 def test_synth_infinite_snr_is_clean(tmp_path, capsys):
     assert main(["synth", "--snr", "inf", "--out-dir", str(tmp_path)]) == 0
     assert "effective SNR: inf" in capsys.readouterr().out
@@ -346,6 +359,22 @@ _GOOD_CONFIG = {"sample_rate": 8192, "duration": 1.0,
     ("components", [{"frequency": 440.0, "phase": float("nan")}],
      "component phase must be finite"),
     ("seed", -1, "seed must be >= 0, got -1"),
+    # float() takes a bool or a numeric string, and list() a string or an object
+    ("duration", True, "config key 'duration'"),
+    ("duration", "1.5", "config key 'duration'"),
+    ("sample_rate", True, "config key 'sample_rate'"),
+    ("noise_sigma", True, "config key 'noise_sigma'"),
+    ("noise_sigma", "0.1", "config key 'noise_sigma'"),
+    ("indicator_on", [True, 0.75], "config key 'indicator_on'"),
+    ("indicator_on", [0.25, "0.75"], "config key 'indicator_on'"),
+    ("indicator_on", "01", "config key 'indicator_on'"),
+    ("components", "abc", "config key 'components'"),
+    ("components", {}, "config key 'components'"),
+    ("components", {"frequency": 440.0}, "config key 'components'"),
+    ("components", [{"frequency": "440"}], "component key 'frequency'"),
+    ("components", [{"frequency": 440.0, "amplitude": True}], "component key 'amplitude'"),
+    ("components", [{"frequency": 440.0, "amplitude": "2"}], "component key 'amplitude'"),
+    ("components", [{"frequency": 440.0, "phase": False}], "component key 'phase'"),
 ])
 def test_detect_malformed_config_exit_3(tmp_path, capsys, key, value, message):
     config = tmp_path / "config.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -97,6 +98,12 @@ def test_config_defaults_and_properties():
     assert cfg.effective_snr == 2.0
     clean = SignalConfig(sample_rate=8192, duration=1.0)
     assert clean.effective_snr == math.inf
+    # squares past 1.3e154 overflow to inf and do not raise
+    loud = SignalConfig(sample_rate=8192, duration=1.0,
+                        components=(HarmonicComponent(1e200, 100.0),), noise_sigma=1.0)
+    assert loud.signal_power == math.inf and loud.effective_snr == math.inf
+    noisy = dataclasses.replace(cfg, noise_sigma=1e200)
+    assert noisy.effective_snr == 0.0
 
 
 def test_config_dict_roundtrip():
@@ -109,6 +116,38 @@ def test_config_dict_roundtrip():
         SignalConfig.from_dict(d)
     with pytest.raises(RangeError):
         HarmonicComponent.from_dict({"frequency": 10.0, "gain": 2.0})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sample_rate", True), ("sample_rate", "8192"), ("duration", True), ("duration", "1.5"),
+    ("noise_sigma", False), ("noise_sigma", "0.5"), ("indicator_on", [True, 0.5]),
+    ("indicator_on", ["0", 0.5]), ("indicator_on", "01"), ("components", "abc"),
+    ("components", {}), ("components", ({"frequency": 440.0},)),
+])
+def test_config_from_dict_refuses_bools_and_strings(key, value):
+    good = {"sample_rate": 8192, "duration": 1.0, "noise_sigma": 0.5,
+            "indicator_on": [0.25, 0.75], "components": [{"frequency": 440.0}]}
+    SignalConfig.from_dict(good)
+    with pytest.raises(RangeError, match=f"config key '{key}' has a malformed value"):
+        SignalConfig.from_dict({**good, key: value})
+
+
+@pytest.mark.parametrize("key, value", [("amplitude", True), ("frequency", "440"),
+                                        ("phase", False), ("phase", "0")])
+def test_component_from_dict_refuses_bools_and_strings(key, value):
+    with pytest.raises(RangeError, match=f"component key '{key}' has a malformed value"):
+        HarmonicComponent.from_dict({"frequency": 440.0, key: value})
+
+
+def test_config_numpy_scalars_unchanged():
+    # the constructors take numpy scalars as before, and from_dict takes numpy numbers
+    cfg = SignalConfig(sample_rate=np.int64(8192), duration=np.float64(1.0),
+                       components=(HarmonicComponent(np.float64(2.0), np.float64(440.0)),),
+                       noise_sigma=np.float64(0.5), indicator_on=(np.float64(0.25), 0.75))
+    assert cfg.sample_rate == 8192 and type(cfg.sample_rate) is int
+    back = SignalConfig.from_dict({**cfg.to_dict(), "duration": np.float64(1.0),
+                                   "sample_rate": np.int64(8192)})
+    assert back == cfg
 
 
 def test_reference_config_structure():
