@@ -213,7 +213,9 @@ def _continuous_max(kind: ComplexityKind, n: int):
     """
     w_lo, w_hi = _omega_band(kind, n)
     grid = np.arange(1, _CELLS) / _CELLS
-    ws = np.unique(np.concatenate([grid[(grid >= w_lo) & (grid <= w_hi)], [w_lo, w_hi]]))
+    # the band's ends and the grid lines strictly inside it, sorted and distinct
+    # (np.unique would import numpy.ma, about 10 ms in a fresh process)
+    ws = np.concatenate(([w_lo], grid[(grid > w_lo) & (grid < w_hi)], [w_hi]))
     ps = np.arange(_CELLS // 2, _CELLS + 1) / _CELLS  # one twin branch
     surf = kernels.family_c_grid(kind, float(n), ws[:, None], ps[None, :])
     i, j = divmod(int(np.argmax(surf)), ps.size)

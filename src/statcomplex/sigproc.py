@@ -42,6 +42,8 @@ TWO_PI = 2.0 * math.pi
 _MAX_SAMPLES = 2 ** 26
 # Sample rates must be exact float64 integers: the config arithmetic is in floats.
 _MAX_SAMPLE_RATE = 2 ** 53
+# Samples per block of `synthesize` (128 KiB of float64): its work arrays stay in cache.
+_SYNTH_BLOCK = 2 ** 14
 
 
 def _check_sample_rate(sr) -> None:
@@ -185,10 +187,18 @@ class SignalConfig:
 
     @property
     def effective_snr(self) -> float:
-        """On-interval signal power over noise power; inf for a clean signal."""
-        if self.noise_sigma == 0.0:
+        """On-interval signal power over noise power; inf for a clean signal.
+
+        When both powers overflow to inf, the ratio is taken from each
+        amplitude over the noise level, squared."""
+        sigma = self.noise_sigma
+        if sigma == 0.0:
             return math.inf
-        return self.signal_power / (self.noise_sigma * self.noise_sigma)
+        snr = self.signal_power / (sigma * sigma)
+        if math.isnan(snr):
+            snr = sum((c.amplitude / sigma) * (c.amplitude / sigma) / 2.0
+                      for c in self.components)
+        return snr
 
     def to_dict(self) -> dict:
         return {**vars(self), "components": [c.to_dict() for c in self.components]}
@@ -259,24 +269,51 @@ def indicator_mask(config: SignalConfig, n: int = None) -> np.ndarray:
     return (t >= t_start) & (t <= t_end)
 
 
+def _on_range(config: SignalConfig, n: int):
+    """Half-open index range [lo, hi), within [0, n], of the samples that
+    `indicator_mask` marks on: t_start <= i / rate <= t_end in float64.
+
+    i / rate is correctly rounded, so it never decreases with i and the on
+    samples are contiguous.  Both ends are found by bisection on the mask's
+    own comparisons, so they are exact however the interval's ends round.
+    """
+    rate = config.sample_rate
+    t_start, t_end = config.indicator_on
+    return (bisect_left(range(n), t_start, key=lambda i: i / rate),
+            bisect_right(range(n), t_end, key=lambda i: i / rate))
+
+
 def synthesize(config: SignalConfig) -> np.ndarray:
     """Render the record described by `config`; reproducible given its seed.
 
-    The cosine sum is gated by the on-interval indicator; noise (if any)
-    covers the full record and is drawn from the child stream
-    [config.seed, 1].  A record that is not finite in float64, say from
-    amplitudes whose sum overflows, raises RangeError.
+    The cosine sum is gated by the on-interval indicator: it is computed
+    only on the samples `indicator_mask` marks on (`_on_range`), in blocks
+    of `_SYNTH_BLOCK` samples with each sample's terms summed in component
+    order, and the other samples stay 0.0.  Noise (if any) covers the full
+    record; it is drawn from the child stream [config.seed, 1] in one call
+    and added in place, so the call holds about two record-sized arrays,
+    the record and the noise.  A record that is not finite in float64, say
+    from amplitudes whose sum overflows, raises RangeError.
     """
     n = config.n_samples
-    t = np.arange(n) / config.sample_rate
-    clean = np.zeros(n)
+    lo, hi = _on_range(config, n)
+    x = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, as one error
-        for comp in config.components:
-            clean += comp.amplitude * np.cos(TWO_PI * comp.frequency * t + comp.phase)
-        x = np.where(indicator_mask(config, n), clean, 0.0)
+        if config.components:
+            term = np.empty(min(_SYNTH_BLOCK, hi - lo))
+            for start in range(lo, hi, _SYNTH_BLOCK):
+                stop = min(start + _SYNTH_BLOCK, hi)
+                t = np.arange(start, stop) / config.sample_rate
+                block, term_block = x[start:stop], term[:stop - start]
+                for comp in config.components:
+                    np.multiply(TWO_PI * comp.frequency, t, out=term_block)
+                    term_block += comp.phase
+                    np.cos(term_block, out=term_block)
+                    term_block *= comp.amplitude
+                    block += term_block
         if config.noise_sigma > 0.0:
             rng = np.random.default_rng([config.seed, 1])
-            x = x + rng.normal(0.0, config.noise_sigma, size=n)
+            x += rng.normal(0.0, config.noise_sigma, size=n)
     # as in _prescale: a NaN sample makes the peak NaN, an infinite one infinite
     if n and not np.isfinite(max(x.max(), -x.min())):
         raise RangeError("the record overflows float64: the config's amplitudes "
@@ -609,20 +646,6 @@ WINDOW_MIXED = -1
 
 _STATE_NAMES = {WINDOW_ON: "on", WINDOW_OFF: "off", WINDOW_MIXED: "mixed"}
 _STATE_JSON = {state: json.dumps(name) for state, name in _STATE_NAMES.items()}
-
-
-def _on_range(config: SignalConfig, n: int):
-    """Half-open index range [lo, hi), within [0, n], of the samples that
-    `indicator_mask` marks on: t_start <= i / rate <= t_end in float64.
-
-    i / rate is correctly rounded, so it never decreases with i and the on
-    samples are contiguous.  Both ends are found by bisection on the mask's
-    own comparisons, so they are exact however the interval's ends round.
-    """
-    rate = config.sample_rate
-    t_start, t_end = config.indicator_on
-    return (bisect_left(range(n), t_start, key=lambda i: i / rate),
-            bisect_right(range(n), t_end, key=lambda i: i / rate))
 
 
 def classify_windows(config: SignalConfig, n_samples: int, window_length: int,

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -216,7 +217,8 @@ def test_synth_overflowing_config_exit_3(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["loud.json"]
 
 
-@pytest.mark.parametrize("sigma, amplitude, snr", [("1e200", 1.0, "0"), ("1.0", 1e200, "inf")])
+@pytest.mark.parametrize("sigma, amplitude, snr", [("1e200", 1.0, "0"), ("1.0", 1e200, "inf"),
+                                                    ("1e200", 1e200, "0.5")])
 def test_synth_huge_noise_or_amplitude_exit_0(tmp_path, sigma, amplitude, snr):
     # squaring 1e200 overflows to inf rather than raising after the files are written
     path = tmp_path / "loud.json"
@@ -233,6 +235,29 @@ def test_synth_infinite_snr_is_clean(tmp_path, capsys):
     assert main(["synth", "--snr", "inf", "--out-dir", str(tmp_path)]) == 0
     assert "effective SNR: inf" in capsys.readouterr().out
     assert json.loads((tmp_path / "config.json").read_text())["noise_sigma"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# process start
+# ---------------------------------------------------------------------------
+
+def test_cli_leaves_numpy_ma_unimported(tmp_path):
+    # importing numpy.ma takes about 10 ms of a fresh process; np.unique imports it
+    assert main(["synth", "--seed", "0", "--out-dir", str(tmp_path / "rec")]) == 0
+    script = textwrap.dedent("""
+        import sys
+        from statcomplex.cli import main
+        out = sys.argv[1]
+        record = ["--input", f"{out}/rec/samples.f64", "--config", f"{out}/rec/config.json"]
+        for kind in ("sq", "jsd", "tv"):
+            assert main(["detect", *record, "--kind", kind, "--out-dir", f"{out}/{kind}"]) == 0
+        assert main(["tables", "--out-dir", f"{out}/tables"]) == 0
+        assert main(["demo", "--experiment", "k3", "--seeds", "0", "--out-dir", f"{out}/demo"]) == 0
+        assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+    """)
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------

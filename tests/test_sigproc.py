@@ -8,6 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from statcomplex import (
@@ -104,6 +106,9 @@ def test_config_defaults_and_properties():
     assert loud.signal_power == math.inf and loud.effective_snr == math.inf
     noisy = dataclasses.replace(cfg, noise_sigma=1e200)
     assert noisy.effective_snr == 0.0
+    # both squares overflow: the ratio comes from the amplitudes over the noise level
+    both = dataclasses.replace(loud, noise_sigma=1e200)
+    assert both.signal_power == math.inf and both.effective_snr == 0.5
 
 
 def test_config_dict_roundtrip():
@@ -216,6 +221,88 @@ def test_synthesize_refuses_an_overflowing_record():
                 SignalConfig(sample_rate=8192, duration=1.0, noise_sigma=1e308)):
         with pytest.raises(RangeError, match="overflows float64"):
             synthesize(cfg)
+
+
+def _synthesize_whole_record(cfg):
+    """`synthesize` by its first formula: every cosine over the whole record, then
+    gated by the mask, then the noise added."""
+    n = cfg.n_samples
+    t = np.arange(n) / cfg.sample_rate
+    clean = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for comp in cfg.components:
+            clean += comp.amplitude * np.cos(sigproc.TWO_PI * comp.frequency * t + comp.phase)
+        x = np.where(indicator_mask(cfg, n), clean, 0.0)
+        if cfg.noise_sigma > 0.0:
+            x = x + np.random.default_rng([cfg.seed, 1]).normal(0.0, cfg.noise_sigma, size=n)
+    if n and not np.isfinite(max(x.max(), -x.min())):
+        raise RangeError("the record overflows float64")
+    return x
+
+
+BLOCK = sigproc._SYNTH_BLOCK
+
+
+@st.composite
+def _synth_configs(draw):
+    """Configs of at most 2**16 samples at 3, 1000, 8192 or 44100 Hz, with 0 to 40
+    components, with or without noise, and an on-interval that is the whole record
+    or has its ends on sample times, one float step off them, or on decimals."""
+    rate = draw(st.sampled_from([3, 1000, 8192, 44100]))
+    n = draw(st.integers(min_value=1, max_value=2 ** 16)
+             | st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5]))
+    duration = n / rate
+    sample_time = st.integers(min_value=0, max_value=n).map(lambda i: i / rate)
+    end = st.one_of(
+        sample_time,
+        st.tuples(sample_time, st.sampled_from([-math.inf, math.inf])).map(
+            lambda a: math.nextafter(*a)),
+        st.integers(min_value=0, max_value=10 * n).map(lambda k: k / 10.0),
+        st.integers(min_value=0, max_value=1000 * n).map(lambda k: k / 1000.0))
+    indicator_on = draw(st.none() | st.tuples(end, end).map(sorted))
+    if indicator_on is not None:
+        indicator_on = (indicator_on[0], min(indicator_on[1], duration))
+        assume(0.0 <= indicator_on[0] < indicator_on[1])
+    amplitude = st.floats(min_value=0.0, max_value=10.0) | st.sampled_from([1e200, 1e308])
+    n_components = draw(st.integers(min_value=0, max_value=40))
+    components = draw(st.lists(st.builds(
+        HarmonicComponent, amplitude=amplitude,
+        frequency=st.floats(min_value=0.0, max_value=rate / 2.0, exclude_min=True,
+                            exclude_max=True),
+        phase=st.floats(min_value=-10.0, max_value=10.0)),
+        min_size=n_components, max_size=n_components))
+    noise_sigma = draw(st.sampled_from([0.0, 1.0, 1e200, 1e308])
+                       | st.floats(min_value=0.0, max_value=5.0))
+    return SignalConfig(sample_rate=rate, duration=duration, components=tuple(components),
+                        noise_sigma=noise_sigma, indicator_on=indicator_on,
+                        seed=draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+
+
+def _burst(n, rate, n_components, noise_sigma, indicator_on=None, amplitude=1.0):
+    return SignalConfig(sample_rate=rate, duration=n / rate, noise_sigma=noise_sigma,
+                        indicator_on=indicator_on, seed=3, components=tuple(
+                            HarmonicComponent(amplitude, (k + 1) * rate / 97.0, 0.1 * k)
+                            for k in range(n_components)))
+
+
+# whole records shorter and longer than one block, with and without noise, a
+# burst that starts one float step past a sample time, and the overflowing configs
+@settings(derandomize=True, deadline=None)
+@given(cfg=_synth_configs())
+@example(cfg=_burst(BLOCK - 1, 8192, 40, 0.0))
+@example(cfg=_burst(2 * BLOCK + 5, 44100, 3, 1.0))
+@example(cfg=_burst(BLOCK + 1, 1000, 2, 0.5, (math.nextafter(3 / 1000, 1.0), 15.0)))
+@example(cfg=_burst(2 ** 16, 8192, 2, 0.0, amplitude=1e308))
+@example(cfg=_burst(100, 3, 0, 1e308))
+def test_synthesize_matches_whole_record_formula(cfg):
+    try:
+        expected = _synthesize_whole_record(cfg)
+    except RangeError:
+        with pytest.raises(RangeError, match="overflows float64"):
+            synthesize(cfg)
+        return
+    x = synthesize(cfg)
+    assert np.array_equal(x.view(np.int64), expected.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
