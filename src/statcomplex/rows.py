@@ -1,5 +1,6 @@
-"""File output: one writer for the CSV and JSON tables the package emits,
-and one for its JSON documents (reports, configs, summaries).
+"""File output: one opener for every file the package writes, one writer for
+the CSV and JSON tables it emits, and one for its JSON documents (reports,
+configs, summaries).
 
 Rows are tuples in header order.  CSV writes floats with 6 significant
 digits; JSON writes a list of objects whose floats are rounded to the
@@ -11,6 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -20,6 +24,38 @@ _INDENT = 2
 _BLOCK_ROWS = 4096
 # The repr of a non-finite float, and the token `json.dumps` writes for it.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Flags of `open_output`: no O_TRUNC, see there.
+_OUTPUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+@contextmanager
+def open_output(path, binary: bool = False):
+    """`path` opened for writing, as a UTF-8 text file or, with `binary`, a
+    binary one; the file is created with mode 0o666 less the umask.
+
+    An existing file is written over in place, not truncated on open, and
+    cut at the position where writing ended when the block exits, also on
+    an error, and only if it is a regular file (so `os.devnull` or a FIFO
+    works).  The bytes, inode, mode, symlinks and hard links end as
+    `open(path, "w")` leaves them, but ext4 does not start the file's
+    writeback at close, as it does for a file truncated on open and then
+    written (its ``auto_da_alloc`` heuristic).  Until the block exits, a
+    reader can see the old file's tail.  Nothing is fsynced and nothing is
+    replaced atomically: after a power loss the file can hold old
+    contents, where a truncating open might leave it empty.
+    """
+    fd = os.open(path, _OUTPUT_FLAGS, 0o666)
+    # a descriptor opened with "w" is not truncated: the mode only picks the stream
+    with open(fd, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode):
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+                if end < st.st_size:
+                    os.ftruncate(fd, end)
 
 
 def round6(value: float) -> float:
@@ -120,7 +156,7 @@ def write_json(path, obj) -> None:
     """Write `obj` to `path` as `json.dump(obj, indent=2)` plus a trailing newline,
     in one write; see `json_text` for the `RowList` values it may hold."""
     text = json_text(obj) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(text)
 
 
@@ -134,7 +170,7 @@ def write_rows(path, header, rows, indent=None) -> None:
     a `RowList` in `write_json`; CSV ignores it.
     """
     as_json = Path(path).suffix.lower() == ".json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         if as_json:
             fh.writelines(_json_list(RowList(header, rows), indent))
             fh.write("\n")

@@ -35,7 +35,8 @@ from .dist import DiscreteDistribution, uniform
 from .errors import AliasingError, DataShapeError, RangeError
 from .kernels import rows_hd
 from .optimize import threshold as complexity_threshold
-from .rows import RowList, json_bool, json_float, json_scalar, round6, write_json, write_rows
+from .rows import (RowList, json_bool, json_float, json_scalar, open_output, round6,
+                   write_json, write_rows)
 
 TWO_PI = 2.0 * math.pi
 # Largest record, in samples, that a config may describe (512 MiB of float64).
@@ -69,9 +70,8 @@ def _from_json(d, what: str, converters: dict) -> dict:
     names a key whose value the converter refuses.  Ranges are the constructor's."""
     if not isinstance(d, dict):
         raise RangeError(f"{what} must be a JSON object, got {reprlib.repr(d)}")
-    unknown = set(d) - set(converters)
-    if unknown:
-        raise RangeError(f"unknown {what} keys: {sorted(unknown)}")
+    if not d.keys() <= converters.keys():
+        raise RangeError(f"unknown {what} keys: {sorted(d.keys() - converters.keys())}")
     values = {}
     for key, value in d.items():
         try:
@@ -133,8 +133,7 @@ class HarmonicComponent:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HarmonicComponent":
-        values = _from_json(d, "component",
-                            dict.fromkeys(("amplitude", "frequency", "phase"), _json_number))
+        values = _from_json(d, "component", _COMPONENT_KEYS)
         if "frequency" not in values:
             raise RangeError("component needs a frequency")
         return cls(**{"amplitude": 1.0, **values})
@@ -160,6 +159,9 @@ class SignalConfig:
         if not self.sample_rate * self.duration <= _MAX_SAMPLES:
             raise RangeError(f"record of {self.sample_rate * self.duration:.6g} samples "
                              f"exceeds the cap of {_MAX_SAMPLES} samples")
+        if self.n_samples < 1:
+            raise RangeError(f"record of {self.sample_rate * self.duration:.6g} samples "
+                             "rounds to 0 samples")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise RangeError(f"noise level must be finite and >= 0, got {self.noise_sigma!r}")
         object.__setattr__(self, "components", tuple(self.components))
@@ -205,15 +207,20 @@ class SignalConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SignalConfig":
-        values = _from_json(d, "config", {
-            # operator.pos takes numbers only, and keeps an int exact
-            "sample_rate": lambda value: _json_number(value, operator.pos),
-            "duration": _json_number, "components": _json_array, "noise_sigma": _json_number,
-            "indicator_on": lambda value: _interval(value, _json_number), "seed": _json_int})
+        values = _from_json(d, "config", _CONFIG_KEYS)
         if "sample_rate" not in values or "duration" not in values:
             raise RangeError("config needs sample_rate and duration")
         values["components"] = tuple(map(HarmonicComponent.from_dict, values.get("components", ())))
         return cls(**values)
+
+
+# The converter of each key that `from_dict` takes.
+_COMPONENT_KEYS = dict.fromkeys(("amplitude", "frequency", "phase"), _json_number)
+_CONFIG_KEYS = {
+    # operator.pos takes numbers only, and keeps an int exact
+    "sample_rate": lambda value: _json_number(value, operator.pos),
+    "duration": _json_number, "components": _json_array, "noise_sigma": _json_number,
+    "indicator_on": lambda value: _interval(value, _json_number), "seed": _json_int}
 
 
 def reference_config(n_components: int, seed: int = 0, sample_rate: int = 8192,
@@ -758,7 +765,7 @@ def write_samples(path, x, sample_rate: float = None) -> None:
     x = np.asarray(x, dtype=np.float64)
     suffix = path.suffix.lower()
     if suffix == ".csv":
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_output(path) as fh:
             fh.write("x\n")
             fh.writelines(f"{float(v)!r}\n" for v in x)
     elif suffix == ".wav":
@@ -769,13 +776,14 @@ def write_samples(path, x, sample_rate: float = None) -> None:
             raise DataShapeError(f"{path.name}: a WAV record must hold finite samples")
         scale = 32767.0 / peak if peak > 0.0 else 0.0
         ints = np.round(x * scale).astype("<i2")
-        with wave.open(str(path), "wb") as wf:
+        with open_output(path, binary=True) as fh, wave.open(fh, "wb") as wf:
             wf.setnchannels(1)
             wf.setsampwidth(2)
             wf.setframerate(int(round(sample_rate)))
             wf.writeframes(ints.tobytes())
     elif suffix in (".raw", ".bin", ".f64"):
-        x.astype("<f8").tofile(path)
+        with open_output(path, binary=True) as fh:
+            x.astype("<f8").tofile(fh)
     else:
         raise RangeError(f"unsupported sample format {suffix!r}")
 

@@ -1,4 +1,7 @@
+import builtins
+import io
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -231,6 +234,18 @@ def test_synth_huge_noise_or_amplitude_exit_0(tmp_path, sigma, amplitude, snr):
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["config.json", "samples.f64"]
 
 
+@pytest.mark.parametrize("argv", [["--config", "short.json"],
+                                  ["--sample-rate", "3", "--duration", "0.1"]])
+def test_synth_zero_sample_record_exit_3(tmp_path, capsys, monkeypatch, argv):
+    # 3 Hz for 0.1 s rounds to 0 samples: refused before any file is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "short.json").write_text(json.dumps({"sample_rate": 3, "duration": 0.1}))
+    assert main(["synth", *argv, "--output", "x.wav", "--out-dir", "out"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: record of 0.3 samples rounds to 0 samples\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["short.json"]
+
+
 def test_synth_infinite_snr_is_clean(tmp_path, capsys):
     assert main(["synth", "--snr", "inf", "--out-dir", str(tmp_path)]) == 0
     assert "effective SNR: inf" in capsys.readouterr().out
@@ -313,6 +328,15 @@ def test_detect_error_codes(synth_dir, tmp_path):
 
     assert main(["detect", "--input", str(synth_dir / "samples.f64"),
                  "--config", cfg, "--kind", "euclid", *out]) == 3
+
+
+def test_detect_report_path_is_a_directory_exit_2(synth_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    assert main(["detect", "--input", str(synth_dir / "samples.f64"),
+                 "--config", str(synth_dir / "config.json"), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 21] Is a directory: '{out / 'report.json'}'\n"
 
 
 def test_detect_bad_sample_files_exit_4(synth_dir, tmp_path, capsys):
@@ -538,3 +562,50 @@ def test_module_entry_point(tmp_path):
     res = run_module("grid", "--kind", "sq", "--step", "0.5")
     assert res.returncode == 3
     assert "step" in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+def test_outputs_rewritten_in_place(tmp_path, monkeypatch):
+    # Every output is opened through os.open without O_TRUNC, never by a "w" or
+    # "wb" open of its path, also when the out-dir holds an earlier run's files.
+    # Opening a descriptor with "w" truncates nothing, so those calls pass.
+    record = ["--input", str(tmp_path / "synth" / "samples.f64"),
+              "--config", str(tmp_path / "synth" / "config.json")]
+    commands = [
+        ["synth", "--seed", "0", "--out-dir", str(tmp_path / "synth")],
+        ["detect", *record, "--include-distributions", "--out-dir", str(tmp_path / "detect")],
+        ["detect", *record, "--out-dir", str(tmp_path / "detect")],
+        ["tables", "--sizes", "3,256", "--out-dir", str(tmp_path / "tables")],
+        ["grid", "--kind", "tv", "--step", "0.05", "--out-dir", str(tmp_path / "grid")],
+        ["demo", "--experiment", "k3", "--seeds", "0", "--out-dir", str(tmp_path / "demo")],
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+    outputs = {str(p) for p in tmp_path.rglob("*") if p.is_file()}
+
+    created, truncating = set(), []
+    os_open, builtin_open = os.open, builtins.open
+
+    def guarded_os_open(path, flags, *args, **kwargs):
+        if flags & os.O_TRUNC:
+            truncating.append((os.fspath(path), "O_TRUNC"))
+        if flags & os.O_CREAT:
+            created.add(os.fspath(path))
+        return os_open(path, flags, *args, **kwargs)
+
+    def guarded_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and "w" in mode:
+            truncating.append((os.fspath(file), mode))
+        return builtin_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", guarded_os_open)
+    monkeypatch.setattr(builtins, "open", guarded_open)
+    monkeypatch.setattr(io, "open", guarded_open)
+    for argv in commands:
+        assert main(argv) == 0
+    monkeypatch.undo()
+    assert truncating == []
+    assert created == outputs

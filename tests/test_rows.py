@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import stat
 
+import numpy as np
 import pytest
 
 from statcomplex import rows
-from statcomplex.rows import RowList, json_scalar, json_text, round6, write_json, write_rows
+from statcomplex.rows import (RowList, json_scalar, json_text, open_output, round6, write_json,
+                              write_rows)
+from statcomplex.sigproc import write_samples
 
 HEADER = ("kind", "n", "c", "flag")
 ROWS = [("sq", 3, 0.19323943583345649, True), ("tv", 2048, 1.0 / 3.0, False),
@@ -72,3 +77,88 @@ def test_rows_written_in_blocks_match_json_dump(tmp_path, monkeypatch):
     assert (tmp_path / "rows.json").read_text() == json.dumps(_rounded(many), indent=2) + "\n"
     assert json_text({"rows": RowList(HEADER, many)}) == json.dumps({"rows": _rounded(many)},
                                                                    indent=2)
+
+
+# ---------------------------------------------------------------------------
+# the output opener: every writer rewrites in place and cuts the old tail
+# ---------------------------------------------------------------------------
+
+RECORD = np.sin(np.arange(300) * 0.1) * 0.5
+
+WRITERS = {
+    "json": ("doc.json", lambda path: write_json(path, {"rows": RowList(HEADER, ROWS), "n": 3})),
+    "rows_csv": ("rows.csv", lambda path: write_rows(path, HEADER, iter(ROWS))),
+    "rows_json": ("rows.json", lambda path: write_rows(path, HEADER, iter(ROWS), indent=2)),
+    "samples_csv": ("x.csv", lambda path: write_samples(path, RECORD)),
+    "samples_wav": ("x.wav", lambda path: write_samples(path, RECORD, sample_rate=8000)),
+    "samples_f64": ("x.f64", lambda path: write_samples(path, RECORD)),
+}
+
+
+def _fresh_bytes(tmp_path, name, write):
+    fresh = tmp_path / "fresh" / name
+    fresh.parent.mkdir()
+    write(fresh)
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writer_over_longer_file_matches_fresh_write(tmp_path, writer):
+    name, write = WRITERS[writer]
+    expected = _fresh_bytes(tmp_path, name, write)
+    path = tmp_path / name
+    path.write_bytes(b"\xff" * (3 * len(expected) + 4096))
+    write(path)
+    assert path.read_bytes() == expected
+    write(path)  # over a file of the same length
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writer_keeps_symlink_and_hard_link(tmp_path, writer):
+    name, write = WRITERS[writer]
+    expected = _fresh_bytes(tmp_path, name, write)
+    target = tmp_path / ("target" + os.path.splitext(name)[1])
+    target.write_bytes(b"old" * 10000)
+    link = tmp_path / name
+    link.symlink_to(target)
+    write(link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == expected
+
+    other = tmp_path / ("other" + os.path.splitext(name)[1])
+    os.link(target, other)
+    inode = target.stat().st_ino
+    target.write_bytes(b"older" * 10000)
+    write(other)
+    assert other.stat().st_ino == inode == target.stat().st_ino
+    assert target.read_bytes() == expected and target.stat().st_nlink == 2
+
+
+def test_new_output_mode_matches_open(tmp_path):
+    with open(tmp_path / "by_open.txt", "w"):
+        pass
+    with open_output(tmp_path / "by_opener.txt"):
+        pass
+    assert (stat.S_IMODE((tmp_path / "by_opener.txt").stat().st_mode)
+            == stat.S_IMODE((tmp_path / "by_open.txt").stat().st_mode))
+
+
+def test_write_json_to_devnull():
+    # not a regular file, so it is not truncated
+    write_json(os.devnull, {"n": 3})
+    write_rows(os.devnull, HEADER, iter(ROWS))
+
+
+def test_failed_write_leaves_no_old_tail(tmp_path):
+    # as a truncating open would: the rows written before the error, and nothing else
+    def failing():
+        yield from ROWS[:2]
+        raise RuntimeError("row source failed")
+
+    path = tmp_path / "rows.csv"
+    path.write_text("old\n" * 1000)
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_rows(path, HEADER, failing())
+    assert path.read_text().splitlines() == ["kind,n,c,flag", "sq,3,0.193239,True",
+                                             "tv,2048,0.333333,False"]

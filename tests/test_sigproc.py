@@ -90,6 +90,15 @@ def test_config_record_length_cap():
             SignalConfig(sample_rate=8192, duration=duration)
 
 
+def test_config_refuses_zero_samples():
+    assert SignalConfig(sample_rate=3, duration=0.5).n_samples == 2
+    assert SignalConfig(sample_rate=8192, duration=1 / 8192).n_samples == 1
+    for rate, duration, count in ((3, 0.1, "0.3"), (1, 0.5, "0.5"), (8192, 1e-300, "8.192e-297")):
+        message = f"record of {count} samples rounds to 0 samples"
+        with pytest.raises(RangeError, match=re.escape(message)):
+            SignalConfig(sample_rate=rate, duration=duration)
+
+
 def test_config_defaults_and_properties():
     cfg = SignalConfig(sample_rate=8192, duration=10.0,
                        components=(HarmonicComponent(2.0, 100.0),),
