@@ -24,8 +24,6 @@ _INDENT = 2
 _BLOCK_ROWS = 4096
 # The repr of a non-finite float, and the token `json.dumps` writes for it.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Flags of `open_output`: no O_TRUNC, see there.
-_OUTPUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 @contextmanager
@@ -44,7 +42,7 @@ def open_output(path, binary: bool = False):
     replaced atomically: after a power loss the file can hold old
     contents, where a truncating open might leave it empty.
     """
-    fd = os.open(path, _OUTPUT_FLAGS, 0o666)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     # a descriptor opened with "w" is not truncated: the mode only picks the stream
     with open(fd, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
         try:

@@ -112,6 +112,16 @@ def _interval(value, number=float):
     return number(start), number(end)
 
 
+# The converter of each key that `HarmonicComponent.from_dict`
+# and `SignalConfig.from_dict` take.
+_COMPONENT_KEYS = dict.fromkeys(("amplitude", "frequency", "phase"), _json_number)
+_CONFIG_KEYS = {
+    # operator.pos takes numbers only, and keeps an int exact
+    "sample_rate": lambda value: _json_number(value, operator.pos),
+    "duration": _json_number, "components": _json_array, "noise_sigma": _json_number,
+    "indicator_on": lambda value: _interval(value, _json_number), "seed": _json_int}
+
+
 @dataclass(frozen=True)
 class HarmonicComponent:
     """One cosine: amplitude * cos(2 pi frequency t + phase)."""
@@ -212,15 +222,6 @@ class SignalConfig:
             raise RangeError("config needs sample_rate and duration")
         values["components"] = tuple(map(HarmonicComponent.from_dict, values.get("components", ())))
         return cls(**values)
-
-
-# The converter of each key that `from_dict` takes.
-_COMPONENT_KEYS = dict.fromkeys(("amplitude", "frequency", "phase"), _json_number)
-_CONFIG_KEYS = {
-    # operator.pos takes numbers only, and keeps an int exact
-    "sample_rate": lambda value: _json_number(value, operator.pos),
-    "duration": _json_number, "components": _json_array, "noise_sigma": _json_number,
-    "indicator_on": lambda value: _interval(value, _json_number), "seed": _json_int}
 
 
 def reference_config(n_components: int, seed: int = 0, sample_rate: int = 8192,
