@@ -64,7 +64,11 @@ def _out_dir(args) -> Path:
 
 def _load_signal_config(path, seed_override=None) -> SignalConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = SignalConfig.from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise RangeError(f"{path}: config nests too deeply") from None
+    cfg = SignalConfig.from_dict(data)
     if seed_override is not None:
         cfg = dataclasses.replace(cfg, seed=seed_override)
     return cfg

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, measures
-from .dist import FamilyPoint, spike_family
+from .dist import FamilyPoint
 from .errors import DimensionError, FamilyError, RangeError
 from .kernels import ComplexityKind
 from .rows import write_rows
@@ -42,18 +42,6 @@ def complexity_value(dist, kind: ComplexityKind = ComplexityKind.SQ) -> float:
     return measures.entropy_normalized(dist) * disequilibrium(dist, kind)
 
 
-def c_sq(dist) -> float:
-    return complexity_value(dist, ComplexityKind.SQ)
-
-
-def c_jsd(dist) -> float:
-    return complexity_value(dist, ComplexityKind.JSD)
-
-
-def c_tv(dist) -> float:
-    return complexity_value(dist, ComplexityKind.TV)
-
-
 @dataclass(frozen=True)
 class FamilyEvaluation:
     """Entropy factor, disequilibrium and complexity at one family point."""
@@ -73,13 +61,6 @@ def family_eval(kind: ComplexityKind, point: FamilyPoint) -> FamilyEvaluation:
     """Evaluate one two-level family point through the closed forms."""
     h, d, c = kernels.family_hdc(kind, float(point.n), point.omega_value, point.p_max)
     return FamilyEvaluation(kind=kind, point=point, h=h, d=d, c=c)
-
-
-def family_complexity_direct(kind: ComplexityKind, point: FamilyPoint) -> float:
-    """Same quantity computed from the explicit distribution (integer mode)."""
-    if point.mode != "integer":
-        raise FamilyError("direct evaluation requires an integer group size")
-    return complexity_value(spike_family(point), kind)
 
 
 def family_surface(kind: ComplexityKind, n: int, omegas, p_maxes) -> np.ndarray:

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DimensionError,
-    FamilyError,
-    RangeError,
-)
+from .errors import DimensionError, FamilyError, RangeError
 
 # Construction accepts probability vectors whose sum differs from 1 by at
 # most this much (accumulated float error from upstream normalizations).
@@ -130,22 +125,3 @@ def spike_family(point: FamilyPoint) -> DiscreteDistribution:
     probs[:k] = (1.0 - p_max) / k
     probs[k:] = p_max / (n - k)
     return DiscreteDistribution(probs)
-
-
-def normalize(raw) -> DiscreteDistribution:
-    """Normalize nonnegative weights into a distribution.
-
-    Raises RangeError on negative or non-finite entries and
-    DegenerateInputError when everything is zero.
-    """
-    w = np.asarray(raw, dtype=np.float64)
-    if w.ndim != 1 or w.size < 2:
-        raise DimensionError(f"need a 1-d weight vector with n >= 2 entries, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise RangeError("weights must be finite")
-    if np.any(w < 0.0):
-        raise RangeError("weights must be nonnegative")
-    total = w.sum()
-    if total == 0.0:
-        raise DegenerateInputError("all-zero weights cannot be normalized")
-    return DiscreteDistribution(w / total)

@@ -19,14 +19,6 @@ class RangeError(ValueError):
     """A scalar parameter lies outside its documented range."""
 
 
-class DegenerateInputError(ValueError):
-    """Input carries no usable information (e.g. all-zero weights)."""
-
-
-class SupportError(ValueError):
-    """A reference distribution has zeros where positive mass is required."""
-
-
 class AliasingError(ValueError):
     """A component frequency is at or above the Nyquist limit."""
 

@@ -5,7 +5,6 @@ Log conventions
 * ``entropy_normalized`` is base-free: the normalizing log(n) cancels
   whatever base the numerator uses.
 * ``jsd`` takes ``unit="bits"`` (default) or ``unit="nats"``.
-* ``kl_divergence`` and the Kullback-Leibler generator use base-2 logs.
 * 0 * log 0 is taken as 0 throughout.
 
 Sums over probability vectors rely on numpy's pairwise summation, which
@@ -15,13 +14,11 @@ keeps the accumulation error negligible for dimensions well beyond 2**16.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .dist import DiscreteDistribution
-from .errors import DimensionError, RangeError, SupportError
+from .errors import DimensionError, RangeError
 
 LN2 = math.log(2.0)
 
@@ -77,11 +74,6 @@ def _total_variation(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.abs(a - b).sum())
 
 
-def error_function(p, q) -> float:
-    """Complement of the total variation distance, 1 - TV(p, q)."""
-    return 1.0 - total_variation(p, q)
-
-
 # ---------------------------------------------------------------------------
 # divergences
 # ---------------------------------------------------------------------------
@@ -113,79 +105,3 @@ def _jsd_nats(a: np.ndarray, b: np.ndarray) -> float:
     # and phi, convex with phi(0) = 0 and phi(1) = 2 ln 2, lies below 2 ln 2 |t|.
     # Clip the float residue near-identical inputs leave outside those bounds.
     return min(max(v_nats, 0.0), LN2 * _total_variation(a, b))
-
-
-def kl_divergence(p, q) -> float:
-    """Kullback-Leibler divergence sum p_i log2(p_i/q_i).
-
-    Returns math.inf when q lacks mass somewhere p has it (sentinel, not
-    an error).  Terms with p_i = 0 contribute nothing.
-    """
-    a, b = _pair(p, q)
-    mask = a > 0.0
-    if np.any(b[mask] == 0.0):
-        return math.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(mask, a * np.log(np.where(mask, a, 1.0) / np.where(b > 0, b, 1.0)), 0.0)
-    return float(t.sum()) / LN2
-
-
-# ---------------------------------------------------------------------------
-# f-divergences
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FDivergenceSpec:
-    """Convex generator f with f(1) = 0, defining sum_i q_i f(p_i/q_i).
-
-    The generator is applied elementwise to the likelihood ratio array;
-    it must accept numpy arrays.
-    """
-
-    name: str
-    f: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        at_one = float(np.asarray(self.f(np.array([1.0])))[0])
-        if not abs(at_one) <= 1e-12:
-            raise RangeError(f"generator {self.name!r} has f(1) = {at_one!r}, expected 0")
-
-
-def f_divergence(p, q, spec: FDivergenceSpec) -> float:
-    """Csiszar f-divergence sum q_i f(p_i/q_i); q must be strictly positive."""
-    a, b = _pair(p, q)
-    if np.any(b == 0.0):
-        raise SupportError("f_divergence needs a strictly positive reference q")
-    return float((b * np.asarray(spec.f(a / b))).sum())
-
-
-def kl_generator() -> FDivergenceSpec:
-    """f(x) = x log2 x, recovering kl_divergence on positive support."""
-
-    def f(x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
-
-    return FDivergenceSpec("kullback-leibler", f)
-
-
-def tv_generator() -> FDivergenceSpec:
-    """f(x) = |1 - x| / 2, recovering total_variation."""
-    return FDivergenceSpec("total-variation", lambda x: 0.5 * np.abs(1.0 - x))
-
-
-def jsd_generator(unit: str = "bits") -> FDivergenceSpec:
-    """Generator reproducing jsd(p, q, unit) as an f-divergence.
-
-    f(x) = [x log(2x/(x+1)) + log(2/(x+1))] / 2 in the unit's log base.
-    The leading 1/2 matches the mixture-entropy definition, which weights
-    KL(p||m) and KL(q||m) by 1/2 each.
-    """
-    scale = _unit_scale(unit)
-
-    def f(x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(x > 0.0, x * np.log(2.0 * x / (x + 1.0)), 0.0)
-        return 0.5 * scale * (t + np.log(2.0 / (x + 1.0)))
-
-    return FDivergenceSpec("jensen-shannon", f)

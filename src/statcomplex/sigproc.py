@@ -15,7 +15,6 @@ can be re-noised and vice versa.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import os
@@ -31,7 +30,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .complexity import ComplexityKind
-from .dist import DiscreteDistribution, uniform
 from .errors import AliasingError, DataShapeError, RangeError
 from .kernels import rows_hd
 from .optimize import threshold as complexity_threshold
@@ -43,6 +41,9 @@ TWO_PI = 2.0 * math.pi
 _MAX_SAMPLES = 2 ** 26
 # Sample rates must be exact float64 integers: the config arithmetic is in floats.
 _MAX_SAMPLE_RATE = 2 ** 53
+# A WAV header stores the rate and the byte rate (2 x rate for mono 16-bit) in
+# unsigned 32-bit fields.
+_MAX_WAV_RATE = 2 ** 31 - 1
 # Samples per block of `synthesize` (128 KiB of float64): its work arrays stay in cache.
 _SYNTH_BLOCK = 2 ** 14
 
@@ -333,27 +334,6 @@ def synthesize(config: SignalConfig) -> np.ndarray:
 # spectra and windowed complexity
 # ---------------------------------------------------------------------------
 
-def spectrum_distribution(window) -> DiscreteDistribution:
-    """Normalized two-sided spectrum of one window as a distribution.
-
-    Squared DFT magnitudes over all N bins (DC included) are normalized
-    to unit sum, so the distribution dimension equals the window length.
-    A window of exact zeros has no spectral shape and maps to the uniform
-    distribution, the zero-complexity point.
-    """
-    x = np.asarray(window, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataShapeError("spectrum input must be a 1-d sample window")
-    n = x.size
-    if n < 2 or n & (n - 1):
-        raise DataShapeError("window length must be a power of two >= 2")
-    power = np.abs(np.fft.fft(x)) ** 2
-    total = power.sum()
-    if total == 0.0:
-        return uniform(n)
-    return DiscreteDistribution(power / total)
-
-
 @dataclass
 class WindowSeries:
     """Complexity per window, stored as columns; trailing partial window dropped.
@@ -461,13 +441,13 @@ def _batch_columns(frames: np.ndarray, kinds, buffers, spectra=None) -> tuple:
     """(h, {kind: d}) of each row of `frames` over its normalized two-sided power
     spectrum, for each of `kinds` (`kernels.rows_hd`).
 
-    h * d[kind] matches `complexity_value(spectrum_distribution(row), kind)`;
-    an all-zero row is uniform, with h = 1 and d = 0.  The spectrum is taken
-    on the N/2 + 1 rfft bins.  `buffers`, one set from `_spectrum_buffers`
-    for at least as many rows, holds the table-sized work, so the call itself
-    allocates only row vectors.  `spectra`, if given, an array of the rows'
-    shape on the rfft bins, receives the normalized spectra, an all-zero row
-    as uniform.
+    h * d[kind] matches `complexity_value(p, kind)` of the row's normalized
+    N-bin power spectrum p; an all-zero row is uniform, with h = 1 and d = 0.
+    The spectrum is taken on the N/2 + 1 rfft bins.  `buffers`, one set from
+    `_spectrum_buffers` for at least as many rows, holds the table-sized work,
+    so the call itself allocates only row vectors.  `spectra`, if given, an
+    array of the rows' shape on the rfft bins, receives the normalized
+    spectra, an all-zero row as uniform.
     """
     rows, window_length = frames.shape
     spectrum, p, scratch = (b[:rows] for b in buffers)
@@ -652,8 +632,7 @@ WINDOW_ON = 1
 WINDOW_OFF = 0
 WINDOW_MIXED = -1
 
-_STATE_NAMES = {WINDOW_ON: "on", WINDOW_OFF: "off", WINDOW_MIXED: "mixed"}
-_STATE_JSON = {state: json.dumps(name) for state, name in _STATE_NAMES.items()}
+_STATE_JSON = {WINDOW_ON: '"on"', WINDOW_OFF: '"off"', WINDOW_MIXED: '"mixed"'}
 
 
 def classify_windows(config: SignalConfig, n_samples: int, window_length: int,
@@ -760,8 +739,8 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
 
 def write_samples(path, x, sample_rate: float = None) -> None:
     """Save a record: .csv (header 'x'), .wav (16-bit PCM mono, peak-scaled
-    into [-1, 1); a non-finite sample raises DataShapeError), or
-    .raw/.bin/.f64 (little-endian float64)."""
+    into [-1, 1), at a rate of at most 2**31 - 1 Hz; a non-finite sample raises
+    DataShapeError), or .raw/.bin/.f64 (little-endian float64)."""
     path = Path(path)
     x = np.asarray(x, dtype=np.float64)
     suffix = path.suffix.lower()
@@ -772,6 +751,10 @@ def write_samples(path, x, sample_rate: float = None) -> None:
     elif suffix == ".wav":
         if sample_rate is None:
             raise RangeError("writing WAV needs a sample rate")
+        rate = int(round(sample_rate))
+        if not 0 < rate <= _MAX_WAV_RATE:
+            raise RangeError(f"a WAV sample rate must lie in [1, {_MAX_WAV_RATE}] Hz, "
+                             f"got {rate}")
         peak = max(x.max(), -x.min()) if x.size else 0.0
         if not np.isfinite(peak):
             raise DataShapeError(f"{path.name}: a WAV record must hold finite samples")
@@ -780,7 +763,7 @@ def write_samples(path, x, sample_rate: float = None) -> None:
         with open_output(path, binary=True) as fh, wave.open(fh, "wb") as wf:
             wf.setnchannels(1)
             wf.setsampwidth(2)
-            wf.setframerate(int(round(sample_rate)))
+            wf.setframerate(rate)
             wf.writeframes(ints.tobytes())
     elif suffix in (".raw", ".bin", ".f64"):
         with open_output(path, binary=True) as fh:
@@ -836,41 +819,11 @@ def write_series_csv(path, series: WindowSeries) -> None:
                    map(int, series.decisions.tolist())))
 
 
-def _full_spectra(distributions: np.ndarray) -> np.ndarray:
-    """The N/2 + 1 bins of each row, with bins 1 .. N/2 - 1 mirrored out to N bins."""
-    return np.concatenate([distributions, distributions[:, -2:0:-1]], axis=1)
-
-
-_WINDOW_KEYS = ("t_center", "c_value", "decision", "state")
-
-
-def report_to_dict(report: DetectionReport) -> dict:
-    """The JSON document of `report`.  Its `"distributions"`, present when the report
-    holds them, are the N/2 + 1 bins with bins 1 .. N/2 - 1 mirrored out to N bins.
-    `write_report_json` writes this document without building it."""
-    series = report.series
-    payload = {
-        "kind": series.kind.value,
-        "window_length": series.window_length,
-        "threshold": round6(series.threshold),
-        "config": report.config.to_dict(),
-        "metrics": report.metrics.to_dict(),
-        "windows": [
-            dict(zip(_WINDOW_KEYS, (round6(t), round6(c), decision, _STATE_NAMES[state])))
-            for t, c, decision, state in zip(
-                series.t_centers.tolist(), series.c_values.tolist(),
-                series.decisions.tolist(), report.states.tolist())
-        ],
-    }
-    if report.distributions is not None:
-        payload["distributions"] = [[round6(v) for v in row]
-                                    for row in _full_spectra(report.distributions).tolist()]
-    return payload
-
-
 def write_report_json(path, report: DetectionReport) -> None:
-    """Write `report_to_dict(report)` to `path`, byte for byte as `json.dump(indent=2)`
-    would, in one write and without building that dict.
+    """Write the JSON document of `report` to `path`, byte for byte as `json.dump(indent=2)`
+    of it as a dict would, in one write and without building that dict.  Its
+    `"distributions"`, present when the report holds them, are the N/2 + 1 bins
+    with bins 1 .. N/2 - 1 mirrored out to N bins.
 
     The windows, the config's components and the distributions are laid out
     from row templates (`rows.RowList`); only the small objects (the header
@@ -890,13 +843,14 @@ def write_report_json(path, report: DetectionReport) -> None:
         "threshold": round6(series.threshold),
         "config": config,
         "metrics": report.metrics.to_dict(),
-        "windows": RowList(_WINDOW_KEYS, zip(
+        "windows": RowList(("t_center", "c_value", "decision", "state"), zip(
             series.t_centers.tolist(), series.c_values.tolist(),
             series.decisions.tolist(), report.states.tolist()),
             (json_float, json_float, json_bool, _STATE_JSON.__getitem__)),
     }
-    if report.distributions is not None:
+    half = report.distributions
+    if half is not None:
         document["distributions"] = RowList(
-            None, _full_spectra(report.distributions).tolist(),
+            None, np.concatenate([half, half[:, -2:0:-1]], axis=1).tolist(),
             (json_float,) * series.window_length)
     write_json(path, document)

@@ -194,6 +194,22 @@ def test_synth_huge_sample_rate_exit_3(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--sample-rate", "5000000000", "--duration", "0.000001", "--t-start", "0",
+     "--t-end", "0.000001", "--components", "1"],
+    ["--config", "fast.json", "--sigma", "0.1"]])
+def test_synth_wav_rate_beyond_header_exit_3(tmp_path, capsys, monkeypatch, argv):
+    # a WAV header cannot hold a rate above 2**31 - 1 Hz: refused before the file is opened
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fast.json").write_text(json.dumps({"sample_rate": 5000000000,
+                                                    "duration": 0.000001}))
+    assert main(["synth", *argv, "--output", "x.wav", "--out-dir", "d"]) == 3
+    assert capsys.readouterr().err == (
+        "error: a WAV sample rate must lie in [1, 2147483647] Hz, got 5000000000\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "fast.json"]
+    assert list((tmp_path / "d").iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [["--sigma", "nan"], ["--sigma", "inf"],
                                   ["--sigma", "-1"], ["--snr", "0"], ["--snr", "-1"],
                                   ["--snr", "nan"]])
@@ -435,6 +451,16 @@ def test_detect_malformed_config_exit_3(tmp_path, capsys, key, value, message):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", [["synth"], ["detect", "--input", "x.f64"]])
+def test_deeply_nested_config_exit_3(tmp_path, capsys, monkeypatch, command):
+    # json.load recurses once per nesting level and raises RecursionError, not a ValueError
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    assert main([*command, "--config", "deep.json", "--out-dir", "out"]) == 3
+    assert capsys.readouterr().err == "error: deep.json: config nests too deeply\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scalar_reference import f_divergence, family_complexity_direct, jsd_generator
 from statcomplex import (
     ComplexityKind,
     DimensionError,
@@ -11,18 +12,12 @@ from statcomplex import (
     FamilyEvaluation,
     FamilyPoint,
     RangeError,
-    c_jsd,
-    c_sq,
-    c_tv,
     complexity_value,
     disequilibrium,
     entropy_normalized,
-    f_divergence,
-    family_complexity_direct,
     family_eval,
     family_surface,
     jsd,
-    jsd_generator,
     simplex3_surface,
     spike_family,
     uniform,
@@ -51,12 +46,14 @@ def test_zero_structure_endpoints():
 
 
 def test_three_state_table_point():
-    assert c_sq([0.08425, 0.08425, 0.8315]) == pytest.approx(0.19323943583345649, abs=1e-10)
+    assert complexity_value([0.08425, 0.08425, 0.8315], ComplexityKind.SQ) == pytest.approx(
+        0.19323943583345649, abs=1e-10)
 
 
 def test_spike_1024_jsd_value():
     d = spike_family(FamilyPoint(n=1024, k=927, p_max=1.0))
-    assert c_jsd(d) == pytest.approx(0.5065374921402859, abs=1e-10)
+    assert complexity_value(d, ComplexityKind.JSD) == pytest.approx(
+        0.5065374921402859, abs=1e-10)
 
 
 def test_c_tv_expanded_form():
@@ -67,7 +64,7 @@ def test_c_tv_expanded_form():
         p = rng.dirichlet(np.ones(n))
         plogp = np.sum(p[p > 0] * np.log(p[p > 0]))
         expanded = -(1.0 / (4.0 * math.log(n))) * plogp * np.sum(np.abs(p - 1.0 / n)) ** 2
-        assert c_tv(p) == pytest.approx(expanded, abs=1e-12)
+        assert complexity_value(p, ComplexityKind.TV) == pytest.approx(expanded, abs=1e-12)
 
 
 def test_c_jsd_against_generator_route():
@@ -77,7 +74,7 @@ def test_c_jsd_against_generator_route():
         n = int(rng.integers(2, 65))
         p = rng.dirichlet(np.ones(n))
         expected = entropy_normalized(p) * f_divergence(p, uniform(n), spec)
-        assert c_jsd(p) == pytest.approx(expected, abs=1e-10)
+        assert complexity_value(p, ComplexityKind.JSD) == pytest.approx(expected, abs=1e-10)
 
 
 def test_permutation_invariance():
@@ -95,9 +92,9 @@ def test_value_ranges():
     for _ in range(200):
         n = int(rng.integers(2, 129))
         p = rng.dirichlet(np.ones(n))
-        assert 0.0 <= c_sq(p) <= 1.0 - 1.0 / n
-        assert 0.0 <= c_tv(p) < 1.0
-        assert 0.0 <= c_jsd(p) <= 1.0
+        assert 0.0 <= complexity_value(p, ComplexityKind.SQ) <= 1.0 - 1.0 / n
+        assert 0.0 <= complexity_value(p, ComplexityKind.TV) < 1.0
+        assert 0.0 <= complexity_value(p, ComplexityKind.JSD) <= 1.0
 
 
 def test_scalar_reference_validates_each_input_once(monkeypatch):
@@ -215,7 +212,7 @@ def test_simplex3_surface():
     assert surf[0, 0] == pytest.approx(0.0, abs=1e-12)
     i = j = m // 3 + 1  # (4/10, 4/10, 2/10) for m=10
     third = np.array([i / m, j / m, 1.0 - (i + j) / m])
-    assert surf[i, j] == pytest.approx(c_sq(third), abs=1e-12)
+    assert surf[i, j] == pytest.approx(complexity_value(third, ComplexityKind.SQ), abs=1e-12)
     with pytest.raises(RangeError):
         simplex3_surface(ComplexityKind.SQ, 1)
 

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from statcomplex import (
-    DegenerateInputError,
     DimensionError,
     DiscreteDistribution,
     FamilyError,
     FamilyPoint,
     RangeError,
-    normalize,
     spike_family,
     uniform,
 )
@@ -101,23 +99,3 @@ def test_family_point_modes():
     assert pt.omega_value == 0.33
     with pytest.raises(FamilyError):
         spike_family(pt)  # continuous points are not realizable
-
-
-def test_normalize():
-    assert np.allclose(normalize([2, 2]).probs, [0.5, 0.5])
-    assert np.allclose(normalize([0, 0, 5]).probs, [0, 0, 1])
-    with pytest.raises(DegenerateInputError):
-        normalize([0.0, 0.0])
-    with pytest.raises(RangeError):
-        normalize([1.0, -1.0])
-    with pytest.raises(RangeError):
-        normalize([1.0, np.inf])
-
-
-def test_normalize_idempotent():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        w = rng.random(int(rng.integers(2, 64))) * 10.0
-        once = normalize(w).probs
-        twice = normalize(once).probs
-        assert np.max(np.abs(once - twice)) < 1e-12

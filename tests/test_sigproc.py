@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from scalar_reference import report_to_dict, spectrum_distribution
 from statcomplex import (
     AliasingError,
     ComplexityKind,
@@ -27,8 +28,6 @@ from statcomplex import (
     maximize_family,
     read_samples,
     reference_config,
-    report_to_dict,
-    spectrum_distribution,
     synthesize,
     threshold,
     uniform,
@@ -979,6 +978,18 @@ def test_sample_io_errors(tmp_path):
     cut.write_bytes(cut.read_bytes()[:-3])
     with pytest.raises(DataShapeError, match="125 bytes"):
         read_samples(cut)
+
+
+def test_wav_sample_rate_fits_the_header(tmp_path):
+    # the header holds the rate and the byte rate, 2 x rate, as unsigned 32-bit fields
+    wav = tmp_path / "x.wav"
+    write_samples(wav, np.ones(4), sample_rate=2 ** 31 - 1)
+    assert read_samples(wav)[1] == 2 ** 31 - 1
+    wav.unlink()
+    for rate in (2 ** 31, 5e9, 0, -8192):
+        with pytest.raises(RangeError, match="WAV sample rate"):
+            write_samples(wav, np.ones(4), sample_rate=rate)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_series_csv(tmp_path):
