@@ -22,13 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexity import (ComplexityKind, write_family_grid_csv,
+from .complexity import (ComplexityKind, check_family_size, write_family_grid_csv,
                          write_simplex_grid_csv)
 from .errors import DataShapeError, RangeError
 from .optimize import _TABLE_SIZES, build_optimum_table, threshold, write_table_csv
 from .rows import round6, write_json
-from .sigproc import (SignalConfig, detect, read_samples, reference_config,
-                      synthesize, write_report_json, write_samples,
+from .sigproc import (SignalConfig, check_sample_output, detect, read_samples,
+                      reference_config, synthesize, write_report_json, write_samples,
                       write_series_csv)
 
 _DEMO_EXPERIMENTS = {"k3": 3, "k30": 30}
@@ -92,10 +92,13 @@ def cmd_grid(args) -> int:
     m = int(round(1.0 / args.step))
     kind = ComplexityKind.parse(args.kind)
     n = args.n if args.n is not None else (3 if args.simplex else 1024)
+    # every check runs before the out-dir is made
+    if not args.simplex:
+        check_family_size(n)
+    elif n != 3:
+        raise RangeError("the simplex grid is defined for n = 3 only")
     out = _out_dir(args) / f"grid.{args.format}"
     if args.simplex:
-        if n != 3:
-            raise RangeError("the simplex grid is defined for n = 3 only")
         write_simplex_grid_csv(out, kind, m)
         n_rows = (m + 1) * (m + 2) // 2
     else:
@@ -119,6 +122,8 @@ def cmd_synth(args) -> int:
             sample_rate=args.sample_rate, duration=args.duration, snr=args.snr,
             indicator_on=(args.t_start, args.t_end), noise_sigma=args.sigma)
     x = synthesize(cfg)
+    if args.output:  # before the out-dir is made
+        check_sample_output(args.output, cfg.sample_rate)
     out_dir = _out_dir(args)
     sample_path = Path(args.output) if args.output else out_dir / "samples.f64"
     write_samples(sample_path, x, cfg.sample_rate)

@@ -63,12 +63,17 @@ def family_eval(kind: ComplexityKind, point: FamilyPoint) -> FamilyEvaluation:
     return FamilyEvaluation(kind=kind, point=point, h=h, d=d, c=c)
 
 
-def family_surface(kind: ComplexityKind, n: int, omegas, p_maxes) -> np.ndarray:
-    """Complexity over the outer grid omegas x p_maxes; shape (len(w), len(p))."""
+def check_family_size(n: int) -> None:
+    """DimensionError unless the family is defined at alphabet size `n`: 2 <= n < 2**53."""
     if n < 2:
         raise DimensionError(f"family needs n >= 2, got {n}")
     if n >= 2 ** 53:
         raise DimensionError("family needs n < 2**53, the range of exact float64 integers")
+
+
+def family_surface(kind: ComplexityKind, n: int, omegas, p_maxes) -> np.ndarray:
+    """Complexity over the outer grid omegas x p_maxes; shape (len(w), len(p))."""
+    check_family_size(n)
     w = np.asarray(omegas, dtype=np.float64)
     p = np.asarray(p_maxes, dtype=np.float64)
     if w.ndim != 1 or p.ndim != 1 or w.size == 0 or p.size == 0:

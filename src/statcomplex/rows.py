@@ -1,11 +1,14 @@
 """File output: one opener for every file the package writes, one writer for
-the CSV and JSON tables it emits, and one for its JSON documents (reports,
-configs, summaries).
+the CSV and JSON tables it emits, and one for its JSON documents (configs,
+summaries).  `sigproc.write_report_json` lays the report out from its own
+template and the list layout here.
 
 Rows are tuples in header order.  CSV writes floats with 6 significant
 digits; JSON writes a list of objects whose floats are rounded to the
-same 6 digits (`round6`).  Both JSON writers lay a list of rows out from
-one template per list (`RowList`), byte for byte as `json.dump` would.
+same 6 digits (`round6`).  A list of rows is laid out from one template
+per list (`RowList`), byte for byte as `json.dump` would, and filled
+column by column: a float column is encoded in one pass (`json_floats`),
+with the same text as `json_float` gives each value.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import os
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import islice, repeat, starmap
 from pathlib import Path
 
 _INDENT = 2
@@ -67,6 +71,38 @@ def json_float(value: float) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
+def _differs_from_repr(text: str) -> bool:
+    """Whether `json_float` writes other than `text`, the "{:.6g}" text of a value:
+    a text with neither "." nor "e" (an integral result, +-0, nan or inf), or an
+    exponent from 6 to 15 (|value| in [999999.5, 1e16)), or one of -308 or below,
+    where subnormals lie."""
+    if "e" not in text:
+        return "." not in text
+    exponent = int(text[text.index("e") + 1:])
+    return 6 <= exponent <= 15 or exponent <= -308
+
+
+def json_floats(values) -> list:
+    """`json_float` of each of `values`, a sequence of floats, as a list of texts.
+
+    The column is formatted by "{:.6g}" in one pass.  Everywhere else
+    `repr(float(text))` is that text again: a "{:.6g}" text has 6
+    significant digits at most, which every normal float64 keeps.  Only the
+    texts that `_differs_from_repr` marks go through `json_float`, and the
+    joined column is searched for them first, so a column without any is
+    not looked at value by value.
+    """
+    texts = list(map("{:.6g}".format, values))
+    # a text holds at most one ".", and an exponent never spans two texts
+    joined = "".join(texts)
+    if (joined.count(".") < len(texts)
+            or "e+0" in joined or "e+1" in joined or "e-3" in joined):
+        for i, text in enumerate(texts):
+            if ("." not in text or "e" in text) and _differs_from_repr(text):
+                texts[i] = json_float(values[i])
+    return texts
+
+
 def json_scalar(value) -> str:
     """`value`, a str, number, bool or None, as `json.dumps` writes it; a finite
     float without rounding, by its repr."""
@@ -75,57 +111,71 @@ def json_scalar(value) -> str:
     return json.dumps(value)
 
 
-def json_bool(value) -> str:
-    """`bool(value)` as `json.dumps` writes it."""
-    return "true" if value else "false"
-
-
 @dataclass(frozen=True)
 class RowList:
     """A JSON list of rows, laid out from one template: objects with the keys
     `header`, or arrays when `header` is None.  `encode` holds one function per
-    column that returns its value's JSON text; by default a float column is
-    written as `json_float` and any other through `json.dumps`, as the first
-    row's types pick.  `rows` may be a generator: it is read once."""
+    column that takes the column's values in a block of rows and returns their
+    JSON texts; by default a float column is encoded by `json_floats` and any
+    other value through `json.dumps`, as the first row's types pick.  `rows` may
+    be a generator: it is read once, in blocks of up to `_BLOCK_ROWS` rows."""
 
     header: tuple
     rows: object
     encode: tuple = None
 
 
+# The column encoder of a column that is not all floats.
+_JSON_DUMPS = partial(map, json.dumps)
+
+
 def _json_layout(header, width, indent, depth):
-    """List opening, item separator, list closing and item template of `json.dump`
-    for a list of `width`-column rows at nesting `depth`."""
+    """List opening, item separator and list closing of `json.dump` for a list of
+    `width`-column rows at nesting `depth`, and the item's pieces: the text
+    before each field, then the text after the last one."""
     if header is None:
-        item_open, item_close, fields = "[", "]", ["{}"] * width
-    else:  # braces doubled for str.format
-        item_open, item_close = "{{", "}}"
-        fields = [f"{json.dumps(key)}: {{}}" for key in header]
+        item_open, item_close, keys = "[", "]", [""] * width
+    else:
+        item_open, item_close = "{", "}"
+        keys = [f"{json.dumps(key)}: " for key in header]
     if indent is None:
-        return "[", ", ", "]", item_open + ", ".join(fields) + item_close
-    outer = "\n" + " " * (indent * depth)
-    item = outer + " " * indent
-    inner = item + " " * indent
-    return ("[" + item, "," + item, outer + "]",
-            item_open + inner + ("," + inner).join(fields) + item + item_close)
+        open_list, item_sep, close_list, inner, item = "[", ", ", "]", "", ""
+    else:
+        outer = "\n" + " " * (indent * depth)
+        item = outer + " " * indent
+        inner = item + " " * indent
+        open_list, item_sep, close_list = "[" + item, "," + item, outer + "]"
+    field_sep = "," if indent is not None else ", "
+    pieces = [item_open + inner + keys[0]] + [field_sep + inner + key for key in keys[1:]]
+    return open_list, item_sep, close_list, pieces + [item + item_close]
+
+
+def _json_items(pieces, columns):
+    """The text of each row whose fields are `columns`, columns of JSON texts,
+    laid out from the item's `pieces` (`_json_layout`), as an iterator."""
+    stream = [repeat(pieces[0])]
+    for column, piece in zip(columns, pieces[1:]):
+        stream += (column, repeat(piece))
+    return map("".join, zip(*stream))
 
 
 def _json_list(rows: RowList, indent, depth=0):
     """The text of `rows` as `json.dump` lays it out at nesting `depth`, in pieces of
-    up to `_BLOCK_ROWS` rows.  Each block is encoded column by column and
-    formatted row by row, both in C loops."""
+    up to `_BLOCK_ROWS` rows.  Each block is encoded column by column, and each
+    row is joined from the item's pieces and its fields' texts."""
     it = iter(rows.rows)
     block = list(islice(it, _BLOCK_ROWS))
     if not block:
         yield "[]"
         return
-    open_list, item_sep, close_list, item = _json_layout(rows.header, len(block[0]),
-                                                         indent, depth)
-    encode = rows.encode or [json_float if isinstance(v, float) else json.dumps
+    open_list, item_sep, close_list, pieces = _json_layout(rows.header, len(block[0]),
+                                                           indent, depth)
+    encode = rows.encode or [json_floats if isinstance(v, float) else _JSON_DUMPS
                              for v in block[0]]
     piece = open_list
     while block:
-        yield piece + item_sep.join(map(item.format, *map(map, encode, zip(*block))))
+        columns = [to_json(column) for to_json, column in zip(encode, zip(*block))]
+        yield piece + item_sep.join(_json_items(pieces, columns))
         block = list(islice(it, _BLOCK_ROWS))
         piece = item_sep
     yield close_list
@@ -179,4 +229,4 @@ def write_rows(path, header, rows, indent=None) -> None:
         if first is not None:
             line = ",".join("{:.6g}" if isinstance(v, float) else "{}" for v in first) + "\n"
             fh.write(line.format(*first))
-            fh.writelines(line.format(*row) for row in rows)
+            fh.writelines(starmap(line.format, rows))

@@ -24,6 +24,7 @@ import wave
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,8 @@ from .complexity import ComplexityKind
 from .errors import AliasingError, DataShapeError, RangeError
 from .kernels import rows_hd
 from .optimize import threshold as complexity_threshold
-from .rows import (RowList, json_bool, json_float, json_scalar, open_output, round6,
-                   write_json, write_rows)
+from .rows import (RowList, json_float, json_floats, json_scalar, json_text, open_output,
+                   round6, write_rows)
 
 TWO_PI = 2.0 * math.pi
 # Largest record, in samples, that a config may describe (512 MiB of float64).
@@ -737,24 +738,36 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
 # file formats
 # ---------------------------------------------------------------------------
 
-def write_samples(path, x, sample_rate: float = None) -> None:
-    """Save a record: .csv (header 'x'), .wav (16-bit PCM mono, peak-scaled
-    into [-1, 1), at a rate of at most 2**31 - 1 Hz; a non-finite sample raises
-    DataShapeError), or .raw/.bin/.f64 (little-endian float64)."""
-    path = Path(path)
-    x = np.asarray(x, dtype=np.float64)
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        with open_output(path) as fh:
-            fh.write("x\n")
-            fh.writelines(f"{float(v)!r}\n" for v in x)
-    elif suffix == ".wav":
+def check_sample_output(path, sample_rate: float = None) -> str:
+    """The lower-case suffix of `path`, once `write_samples` can write a record there at
+    `sample_rate`; RangeError for an unsupported suffix, and for a .wav path without
+    a rate or with one outside [1, 2**31 - 1] Hz."""
+    suffix = Path(path).suffix.lower()
+    if suffix not in (".csv", ".wav", ".raw", ".bin", ".f64"):
+        raise RangeError(f"unsupported sample format {suffix!r}")
+    if suffix == ".wav":
         if sample_rate is None:
             raise RangeError("writing WAV needs a sample rate")
         rate = int(round(sample_rate))
         if not 0 < rate <= _MAX_WAV_RATE:
             raise RangeError(f"a WAV sample rate must lie in [1, {_MAX_WAV_RATE}] Hz, "
                              f"got {rate}")
+    return suffix
+
+
+def write_samples(path, x, sample_rate: float = None) -> None:
+    """Save a record: .csv (header 'x'), .wav (16-bit PCM mono, peak-scaled
+    into [-1, 1), at a rate of at most 2**31 - 1 Hz; a non-finite sample raises
+    DataShapeError), or .raw/.bin/.f64 (little-endian float64).  The format
+    and rate are checked (`check_sample_output`) before the file is opened."""
+    suffix = check_sample_output(path, sample_rate)
+    path = Path(path)
+    x = np.asarray(x, dtype=np.float64)
+    if suffix == ".csv":
+        with open_output(path) as fh:
+            fh.write("x\n")
+            fh.writelines(f"{float(v)!r}\n" for v in x)
+    elif suffix == ".wav":
         peak = max(x.max(), -x.min()) if x.size else 0.0
         if not np.isfinite(peak):
             raise DataShapeError(f"{path.name}: a WAV record must hold finite samples")
@@ -763,13 +776,11 @@ def write_samples(path, x, sample_rate: float = None) -> None:
         with open_output(path, binary=True) as fh, wave.open(fh, "wb") as wf:
             wf.setnchannels(1)
             wf.setsampwidth(2)
-            wf.setframerate(rate)
+            wf.setframerate(int(round(sample_rate)))
             wf.writeframes(ints.tobytes())
-    elif suffix in (".raw", ".bin", ".f64"):
+    else:
         with open_output(path, binary=True) as fh:
             x.astype("<f8").tofile(fh)
-    else:
-        raise RangeError(f"unsupported sample format {suffix!r}")
 
 
 def read_samples(path):
@@ -802,7 +813,9 @@ def read_samples(path):
         except (wave.Error, EOFError) as exc:
             raise DataShapeError(
                 f"{path.name}: malformed WAV file ({str(exc) or 'truncated'})") from None
-        return np.frombuffer(frames, dtype="<i2").astype(np.float64) / 32768.0, rate
+        # one conversion pass; a product by 2**-15 is exact, as the division by 32768 was
+        ints = np.frombuffer(frames, dtype="<i2")
+        return np.multiply(ints, 2.0 ** -15, dtype=np.float64), rate
     if suffix in (".raw", ".bin", ".f64"):
         size = path.stat().st_size
         if size % 8:
@@ -816,7 +829,52 @@ def write_series_csv(path, series: WindowSeries) -> None:
     """Per-window rows t_center, c_value, decision (0/1); CSV, or JSON for a .json path."""
     write_rows(path, ("t_center", "c_value", "decision"),
                zip(series.t_centers.tolist(), series.c_values.tolist(),
-                   map(int, series.decisions.tolist())))
+                   series.decisions.view(np.int8).tolist()))
+
+
+# The layout of `json.dumps(document, indent=2)` for a report's document: each
+# field takes its value's JSON text, a list laid out (`rows.RowList`) at its
+# nesting, and `distributions` is empty or the member that follows "windows".
+# The keys are those of `SignalConfig.to_dict` and `DetectionMetrics.to_dict`,
+# in their order.
+_REPORT_JSON = """\
+{{
+  "kind": {kind},
+  "window_length": {window_length},
+  "threshold": {threshold},
+  "config": {{
+    "sample_rate": {sample_rate},
+    "duration": {duration},
+    "components": {components},
+    "noise_sigma": {noise_sigma},
+    "indicator_on": [
+      {t_start},
+      {t_end}
+    ],
+    "seed": {seed}
+  }},
+  "metrics": {{
+    "n_windows": {n_windows},
+    "n_on": {n_on},
+    "n_off": {n_off},
+    "n_mixed": {n_mixed},
+    "n_hit": {n_hit},
+    "n_false_alarm": {n_false_alarm},
+    "hit_rate_on_interval": {hit_rate_on_interval},
+    "false_alarm_rate_off_interval": {false_alarm_rate_off_interval},
+    "mean_c_on": {mean_c_on},
+    "mean_c_off": {mean_c_off}
+  }},
+  "windows": {windows}{distributions}
+}}
+"""
+_WINDOW_KEYS = ("t_center", "c_value", "decision", "state")
+_JSON_BOOLS = ("false", "true")
+
+
+def _encoded(column):
+    """The column encoder of a column of JSON texts encoded in advance."""
+    return column
 
 
 def write_report_json(path, report: DetectionReport) -> None:
@@ -825,32 +883,39 @@ def write_report_json(path, report: DetectionReport) -> None:
     `"distributions"`, present when the report holds them, are the N/2 + 1 bins
     with bins 1 .. N/2 - 1 mirrored out to N bins.
 
-    The windows, the config's components and the distributions are laid out
-    from row templates (`rows.RowList`); only the small objects (the header
-    scalars, the rest of the config and the metrics) go through `json.dumps`.
-    Window and distribution floats are rounded by `round6`; component floats
-    are written in full, so that the config echo loads back to the same config.
+    The document is laid out from one template (`_REPORT_JSON`), filled from
+    the header scalars, the config's scalars and the metrics, each through
+    `json_scalar`, and from its lists, laid out from row templates
+    (`rows.RowList`).  The window and distribution columns are encoded in
+    advance, each float column in one pass (`json_floats`), so their floats
+    are rounded by `round6`; component floats are written in full, so that
+    the config echo loads back to the same config.
     """
     series = report.series
-    config = report.config.to_dict()
-    components = config["components"]
-    keys = tuple(components[0]) if components else ()
-    config["components"] = RowList(keys, [tuple(c.values()) for c in components],
-                                   (json_scalar,) * len(keys))
-    document = {
-        "kind": series.kind.value,
-        "window_length": series.window_length,
-        "threshold": round6(series.threshold),
-        "config": config,
-        "metrics": report.metrics.to_dict(),
-        "windows": RowList(("t_center", "c_value", "decision", "state"), zip(
-            series.t_centers.tolist(), series.c_values.tolist(),
-            series.decisions.tolist(), report.states.tolist()),
-            (json_float, json_float, json_bool, _STATE_JSON.__getitem__)),
-    }
+    config = report.config
+    keys = tuple(_COMPONENT_KEYS)
+    components = RowList(keys, map(operator.attrgetter(*keys), config.components),
+                         (partial(map, json_scalar),) * len(keys))
+    decisions = map(_JSON_BOOLS.__getitem__, series.decisions.view(np.int8).tolist())
+    states = map(_STATE_JSON.__getitem__, report.states.tolist())
+    windows = RowList(_WINDOW_KEYS, zip(json_floats(series.t_centers.tolist()),
+                                        json_floats(series.c_values.tolist()),
+                                        decisions, states), (_encoded,) * len(_WINDOW_KEYS))
+    distributions = ""
     half = report.distributions
     if half is not None:
-        document["distributions"] = RowList(
-            None, np.concatenate([half, half[:, -2:0:-1]], axis=1).tolist(),
-            (json_float,) * series.window_length)
-    write_json(path, document)
+        n = series.window_length
+        texts = json_floats(np.concatenate([half, half[:, -2:0:-1]], axis=1).ravel().tolist())
+        rows = RowList(None, (texts[i:i + n] for i in range(0, len(texts), n)), (_encoded,) * n)
+        distributions = ',\n  "distributions": ' + json_text(rows, 1)
+    t_start, t_end = config.indicator_on
+    metrics = {key: json_scalar(value) for key, value in report.metrics.to_dict().items()}
+    text = _REPORT_JSON.format(
+        kind=json_scalar(series.kind.value), window_length=json_scalar(series.window_length),
+        threshold=json_float(series.threshold), sample_rate=json_scalar(config.sample_rate),
+        duration=json_scalar(config.duration), components=json_text(components, 2),
+        noise_sigma=json_scalar(config.noise_sigma), t_start=json_scalar(t_start),
+        t_end=json_scalar(t_end), seed=json_scalar(config.seed), **metrics,
+        windows=json_text(windows, 1), distributions=distributions)
+    with open_output(path) as fh:
+        fh.write(text)

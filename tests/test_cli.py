@@ -99,6 +99,19 @@ def test_grid_rejects_bad_requests(tmp_path):
     assert main(["grid", "--kind", "manhattan", *out]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--components", "3", "--output", "out/x.xyz"],
+    ["grid", "--kind", "sq", "--simplex", "--n", "4"],
+    ["grid", "--kind", "tv", "--n", "1"]])
+def test_refused_synth_or_grid_makes_no_out_dir(tmp_path, capsys, monkeypatch, argv):
+    # the sample format and the grid's n are checked before the out-dir is made
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out-dir", "d"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_grid_n_below_2_exit_3(tmp_path, capsys):
     for n in ("1", "0"):
         assert main(["grid", "--kind", "tv", "--n", n, "--out-dir", str(tmp_path)]) == 3
@@ -206,8 +219,7 @@ def test_synth_wav_rate_beyond_header_exit_3(tmp_path, capsys, monkeypatch, argv
     assert main(["synth", *argv, "--output", "x.wav", "--out-dir", "d"]) == 3
     assert capsys.readouterr().err == (
         "error: a WAV sample rate must lie in [1, 2147483647] Hz, got 5000000000\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "fast.json"]
-    assert list((tmp_path / "d").iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.json"]
 
 
 @pytest.mark.parametrize("argv", [["--sigma", "nan"], ["--sigma", "inf"],

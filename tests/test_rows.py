@@ -2,13 +2,18 @@ import json
 import math
 import os
 import stat
+import struct
+import sys
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from statcomplex import rows
-from statcomplex.rows import (RowList, json_scalar, json_text, open_output, round6, write_json,
-                              write_rows)
+from statcomplex.rows import (RowList, json_float, json_floats, json_scalar, json_text,
+                              open_output, round6, write_json, write_rows)
 from statcomplex.sigproc import write_samples
 
 HEADER = ("kind", "n", "c", "flag")
@@ -20,6 +25,35 @@ def test_round6():
     assert round6(1.0 / 3.0) == 0.333333
     assert round6(123456789.0) == 123457000.0
     assert math.isnan(round6(math.nan))
+
+
+# Values where "{:.6g}" and `json_float` part, or nearly do: +-0, integral and band
+# results, exponents at the band's edges, the smallest normal, subnormals, non-finite
+# values, and ties at the 6th digit (123456.5 and 2**-16 are exact ties).
+EDGES = [0.0, -0.0, 1.0, -3.0, 0.9999995, 999999.4999, 999999.5, -999999.5, 9.9999951e15,
+         9.9999949e15, 1e16, 1e17, 1e-5, 2.5e-5, 1e-300, sys.float_info.min,
+         -sys.float_info.min, 2.2250738585072009e-308, 1e-310, 5e-324, -5e-324,
+         math.inf, -math.inf, math.nan, 123456.5, -123457.5, 1234565.0, 2.0 ** -16,
+         0.1234565, 9.5, -9.5, 99999.95, 0.5]
+
+
+def test_json_floats_edges():
+    assert json_floats(EDGES) == [json_float(v) for v in EDGES]
+    assert json_floats(EDGES[:3]) == ["0.0", "-0.0", "1.0"]
+    assert json_floats([999999.5, 5e-324, math.nan]) == ["1000000.0", "5e-324", "NaN"]
+    assert json_floats([]) == []
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1).map(_from_bits), max_size=40))
+@example([_from_bits(0x000FFFFFFFFFFFFF)])  # the largest subnormal
+@example([_from_bits(0x7FF8000000000001), 0.25])  # a NaN with payload
+def test_json_floats_matches_json_float_on_bit_patterns(values):
+    assert json_floats(values) == [json_float(v) for v in values]
 
 
 @pytest.mark.parametrize("indent", [None, 2])
@@ -59,11 +93,11 @@ def _rounded(rows):
 @pytest.mark.parametrize("listed", [ROWS, []], ids=["rows", "empty"])
 def test_row_list_matches_json_dump_at_depth(listed):
     # the row layout nested at depth 0 and 1, as objects and as arrays, with the
-    # default encoders (floats to 6 digits) and with full-precision ones
+    # default column encoders (floats to 6 digits) and with full-precision ones
     assert json_text(RowList(HEADER, iter(listed))) == json.dumps(_rounded(listed), indent=2)
     arrays = [[row[2], -row[2]] for row in listed]
     doc = {"n": 3, "rows": RowList(HEADER, iter(listed)), "tail": [1.5, None],
-           "inner": {"arrays": RowList(None, arrays, (json_scalar, json_scalar)), "x": {}}}
+           "inner": {"arrays": RowList(None, arrays, (partial(map, json_scalar),) * 2), "x": {}}}
     expected = {"n": 3, "rows": _rounded(listed), "tail": [1.5, None],
                 "inner": {"arrays": arrays, "x": {}}}
     assert json_text(doc) == json.dumps(expected, indent=2)

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import wave
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -990,6 +991,21 @@ def test_wav_sample_rate_fits_the_header(tmp_path):
         with pytest.raises(RangeError, match="WAV sample rate"):
             write_samples(wav, np.ones(4), sample_rate=rate)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_wav_reads_every_int16_code(tmp_path):
+    # every code, -32768 and 32767 included, reads back as code / 32768, bit for bit
+    codes = np.arange(-32768, 32768, dtype="<i2")
+    wav = tmp_path / "codes.wav"
+    with wave.open(str(wav), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(8192)
+        wf.writeframes(codes.tobytes())
+    back, rate = read_samples(wav)
+    assert rate == 8192.0 and back.dtype == np.float64
+    assert np.array_equal(back.view(np.int64),
+                          (codes.astype(np.float64) / 32768.0).view(np.int64))
 
 
 def test_series_csv(tmp_path):
