@@ -24,8 +24,9 @@ from itertools import islice, repeat, starmap
 from pathlib import Path
 
 _INDENT = 2
-# Rows per block of `_json_list`: bounds the text held at once.
-_BLOCK_ROWS = 4096
+# Values per block of `_json_list` (a block holds one row at least): bounds the
+# text held at once.
+_BLOCK_VALUES = 1 << 14
 # The repr of a non-finite float, and the token `json.dumps` writes for it.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -85,12 +86,12 @@ def _differs_from_repr(text: str) -> bool:
 def json_floats(values) -> list:
     """`json_float` of each of `values`, a sequence of floats, as a list of texts.
 
-    The column is formatted by "{:.6g}" in one pass.  Everywhere else
-    `repr(float(text))` is that text again: a "{:.6g}" text has 6
-    significant digits at most, which every normal float64 keeps.  Only the
-    texts that `_differs_from_repr` marks go through `json_float`, and the
-    joined column is searched for them first, so a column without any is
-    not looked at value by value.
+    The column is formatted by "{:.6g}" in one pass.  Where
+    `_differs_from_repr` does not mark it, that text is `json_float`'s,
+    `repr(float(text))`: it has at most 6 significant digits, which every
+    normal float64 keeps, and both switch to an exponent below 1e-4.  The
+    marked texts go through `json_float`.  The joined column is searched
+    for them first, so a column without any is not looked at value by value.
     """
     texts = list(map("{:.6g}".format, values))
     # a text holds at most one ".", and an exponent never spans two texts
@@ -118,7 +119,7 @@ class RowList:
     column that takes the column's values in a block of rows and returns their
     JSON texts; by default a float column is encoded by `json_floats` and any
     other value through `json.dumps`, as the first row's types pick.  `rows` may
-    be a generator: it is read once, in blocks of up to `_BLOCK_ROWS` rows."""
+    be a generator: it is read once, in blocks of up to `_BLOCK_VALUES` values."""
 
     header: tuple
     rows: object
@@ -139,15 +140,17 @@ def _json_layout(header, width, indent, depth):
         item_open, item_close = "{", "}"
         keys = [f"{json.dumps(key)}: " for key in header]
     if indent is None:
-        open_list, item_sep, close_list, inner, item = "[", ", ", "]", "", ""
+        open_list, item_sep, close_list = "[", ", ", "]"
+        item, inner, field_sep = "", "", ", "
     else:
         outer = "\n" + " " * (indent * depth)
         item = outer + " " * indent
         inner = item + " " * indent
         open_list, item_sep, close_list = "[" + item, "," + item, outer + "]"
-    field_sep = "," if indent is not None else ", "
-    pieces = [item_open + inner + keys[0]] + [field_sep + inner + key for key in keys[1:]]
-    return open_list, item_sep, close_list, pieces + [item + item_close]
+        field_sep = "," + inner
+    pieces = [item_open + inner + keys[0], *(field_sep + key for key in keys[1:]),
+              item + item_close]
+    return open_list, item_sep, close_list, pieces
 
 
 def _json_items(pieces, columns):
@@ -161,22 +164,24 @@ def _json_items(pieces, columns):
 
 def _json_list(rows: RowList, indent, depth=0):
     """The text of `rows` as `json.dump` lays it out at nesting `depth`, in pieces of
-    up to `_BLOCK_ROWS` rows.  Each block is encoded column by column, and each
-    row is joined from the item's pieces and its fields' texts."""
+    up to `_BLOCK_VALUES` values.  Each block is encoded column by column, and
+    each row is joined from the item's pieces and its fields' texts."""
     it = iter(rows.rows)
-    block = list(islice(it, _BLOCK_ROWS))
-    if not block:
+    first = next(it, None)
+    if first is None:
         yield "[]"
         return
-    open_list, item_sep, close_list, pieces = _json_layout(rows.header, len(block[0]),
+    block_rows = max(1, _BLOCK_VALUES // len(first))
+    block = [first, *islice(it, block_rows - 1)]
+    open_list, item_sep, close_list, pieces = _json_layout(rows.header, len(first),
                                                            indent, depth)
     encode = rows.encode or [json_floats if isinstance(v, float) else _JSON_DUMPS
-                             for v in block[0]]
+                             for v in first]
     piece = open_list
     while block:
         columns = [to_json(column) for to_json, column in zip(encode, zip(*block))]
         yield piece + item_sep.join(_json_items(pieces, columns))
-        block = list(islice(it, _BLOCK_ROWS))
+        block = list(islice(it, block_rows))
         piece = item_sep
     yield close_list
 

@@ -877,6 +877,13 @@ def _encoded(column):
     return column
 
 
+def _mirrored_texts(half) -> list:
+    """The JSON texts of a window's N bins from its N/2 + 1 bins `half`: bins
+    1 .. N/2 - 1 again, mirrored out to bins N - 1 .. N/2 + 1, reuse their texts."""
+    texts = json_floats(half.tolist())
+    return texts + texts[-2:0:-1]
+
+
 def write_report_json(path, report: DetectionReport) -> None:
     """Write the JSON document of `report` to `path`, byte for byte as `json.dump(indent=2)`
     of it as a dict would, in one write and without building that dict.  Its
@@ -886,10 +893,12 @@ def write_report_json(path, report: DetectionReport) -> None:
     The document is laid out from one template (`_REPORT_JSON`), filled from
     the header scalars, the config's scalars and the metrics, each through
     `json_scalar`, and from its lists, laid out from row templates
-    (`rows.RowList`).  The window and distribution columns are encoded in
-    advance, each float column in one pass (`json_floats`), so their floats
-    are rounded by `round6`; component floats are written in full, so that
-    the config echo loads back to the same config.
+    (`rows.RowList`).  The window columns are encoded in advance, each float
+    column in one pass (`json_floats`); each window's distribution is encoded
+    as the list reads it, over its N/2 + 1 bins, whose texts the mirrored
+    bins reuse.  So window and distribution floats are rounded by `round6`;
+    component floats are written in full, so that the config echo loads back
+    to the same config.
     """
     series = report.series
     config = report.config
@@ -902,11 +911,9 @@ def write_report_json(path, report: DetectionReport) -> None:
                                         json_floats(series.c_values.tolist()),
                                         decisions, states), (_encoded,) * len(_WINDOW_KEYS))
     distributions = ""
-    half = report.distributions
-    if half is not None:
-        n = series.window_length
-        texts = json_floats(np.concatenate([half, half[:, -2:0:-1]], axis=1).ravel().tolist())
-        rows = RowList(None, (texts[i:i + n] for i in range(0, len(texts), n)), (_encoded,) * n)
+    if report.distributions is not None:
+        rows = RowList(None, map(_mirrored_texts, report.distributions),
+                       (_encoded,) * series.window_length)
         distributions = ',\n  "distributions": ' + json_text(rows, 1)
     t_start, t_end = config.indicator_on
     metrics = {key: json_scalar(value) for key, value in report.metrics.to_dict().items()}

@@ -105,7 +105,7 @@ def test_row_list_matches_json_dump_at_depth(listed):
 
 def test_rows_written_in_blocks_match_json_dump(tmp_path, monkeypatch):
     # a list longer than one block joins its blocks with the item separator
-    monkeypatch.setattr(rows, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(rows, "_BLOCK_VALUES", 12)  # 3 rows of 4 columns
     many = ROWS * 2 + ROWS[:1]
     write_rows(tmp_path / "rows.json", HEADER, iter(many), indent=2)
     assert (tmp_path / "rows.json").read_text() == json.dumps(_rounded(many), indent=2) + "\n"
