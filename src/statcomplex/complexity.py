@@ -26,20 +26,13 @@ from .rows import write_rows
 
 def disequilibrium(dist, kind: ComplexityKind) -> float:
     """Distance of `dist` from the uniform reference, per `kind`."""
-    dist = measures._distribution(dist)
-    if kind is ComplexityKind.SQ:
-        return measures.disequilibrium_sq(dist)
-    p, ref = dist.probs, np.full(dist.n, 1.0 / dist.n)
-    if kind is ComplexityKind.TV:
-        tv = measures._total_variation(p, ref)
-        return tv * tv
-    return measures._jsd_nats(p, ref) * measures._unit_scale("bits")
+    return measures._hd(dist, (kind,))[1][kind]
 
 
 def complexity_value(dist, kind: ComplexityKind = ComplexityKind.SQ) -> float:
     """C = normalized entropy times disequilibrium of the chosen kind."""
-    dist = measures._distribution(dist)
-    return measures.entropy_normalized(dist) * disequilibrium(dist, kind)
+    h, d = measures._hd(dist, (kind,))
+    return h * d[kind]
 
 
 @dataclass(frozen=True)

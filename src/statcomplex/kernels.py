@@ -5,7 +5,7 @@ Kernels
 rows_hd(p, n, rowsum, scratch=None, kinds=all)
     Entropy factor and the disequilibrium of each kind, per row of a table
     of n-state distributions, from one pass over the table.  A row's
-    complexity is h * d[kind].
+    complexity is h * d[kind].  The point measures are one-row calls.
 family_hdc(kind, n, omega, p_max)
     Closed-form (entropy factor, disequilibrium, complexity) of one
     two-level family point.  Continuous omega permitted.
@@ -57,8 +57,9 @@ def rows_hd(p: np.ndarray, n: int, rowsum, scratch: np.ndarray = None,
     """The entropy factor h of each row of `p`, a table of n-state distributions,
     and the disequilibrium d of each of `kinds`: returns (h, {kind: d}).
 
-    h is clipped to [0, 1], so that h * d[kind] is `complexity_value` row by
-    row, clips included.  A column may stand for several equal states:
+    h is clipped to [0, 1].  The point measures (`complexity_value` and the rest)
+    are one-row calls: outside the family closed forms, this is the one route
+    to h and d.  A column may stand for several equal states:
     `rowsum(t)` sums a table `t` shaped like `p` over all n states of each
     row.  The kinds are taken tv, sq, then jsd, which overwrites `p`, since a
     fresh temporary per step costs more in page faults than the arithmetic.

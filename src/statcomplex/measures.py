@@ -1,9 +1,11 @@
 """Entropy, divergences, and related functionals on discrete distributions.
 
+`entropy_normalized` and `disequilibrium_sq`, like `complexity_value`, are
+one-row `kernels.rows_hd` calls through `_hd`; the formulas here serve only
+the pairwise `total_variation` and `jsd`.
+
 Log conventions
 ---------------
-* ``entropy_normalized`` is base-free: the normalizing log(n) cancels
-  whatever base the numerator uses.
 * ``jsd`` takes ``unit="bits"`` (default) or ``unit="nats"``.
 * 0 * log 0 is taken as 0 throughout.
 
@@ -19,6 +21,7 @@ import numpy as np
 
 from .dist import DiscreteDistribution
 from .errors import DimensionError, RangeError
+from .kernels import ComplexityKind, rows_hd
 
 LN2 = math.log(2.0)
 
@@ -37,6 +40,13 @@ def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _hd(p, kinds=()) -> tuple[float, dict]:
+    """(h, {kind: d}) of one distribution, for each of `kinds`, by `rows_hd`."""
+    row = np.array(_distribution(p).probs, ndmin=2)  # a copy: rows_hd overwrites it for jsd
+    h, d = rows_hd(row, row.shape[1], lambda t: t.sum(axis=1), kinds=kinds)
+    return float(h[0]), {kind: float(column[0]) for kind, column in d.items()}
+
+
 def _neg_plogp(p: np.ndarray) -> float:
     """Unnormalized Shannon entropy in nats, with 0 log 0 := 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -49,20 +59,16 @@ def _neg_plogp(p: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def entropy_normalized(p) -> float:
-    """Shannon entropy divided by log(n); always in [0, 1].
+    """Shannon entropy divided by log(n), clipped to [0, 1]; base-free.
 
-    Base-free: uniform inputs give exactly 1, one-hot inputs exactly 0.
+    A uniform input gives 1 up to rounding, a one-hot input exactly +0.0.
     """
-    arr = _distribution(p).probs
-    h = _neg_plogp(arr) / math.log(arr.size)
-    # guard the [0, 1] contract against last-ulp float excess
-    return min(max(h, 0.0), 1.0)
+    return _hd(p)[0]
 
 
 def disequilibrium_sq(p) -> float:
     """Squared Euclidean distance to the uniform reference, sum (p_i - 1/n)^2."""
-    arr = _distribution(p).probs
-    return float(((arr - 1.0 / arr.size) ** 2).sum())
+    return _hd(p, (ComplexityKind.SQ,))[1][ComplexityKind.SQ]
 
 
 def total_variation(p, q) -> float:

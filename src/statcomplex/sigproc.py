@@ -442,8 +442,8 @@ def _batch_columns(frames: np.ndarray, kinds, buffers, spectra=None) -> tuple:
     """(h, {kind: d}) of each row of `frames` over its normalized two-sided power
     spectrum, for each of `kinds` (`kernels.rows_hd`).
 
-    h * d[kind] matches `complexity_value(p, kind)` of the row's normalized
-    N-bin power spectrum p; an all-zero row is uniform, with h = 1 and d = 0.
+    h * d[kind] is `complexity_value(p, kind)` of the row's normalized N-bin power
+    spectrum p, up to rounding; an all-zero row is uniform, with h = 1 and d = 0.
     The spectrum is taken on the N/2 + 1 rfft bins.  `buffers`, one set from
     `_spectrum_buffers` for at least as many rows, holds the table-sized work,
     so the call itself allocates only row vectors.  `spectra`, if given, an

@@ -4,6 +4,12 @@ None of this runs in the package: each function is an independent,
 one-item-at-a-time evaluation of a quantity the package computes in
 batches or in closed form.
 
+- `scalar_entropy`, `scalar_disequilibrium` and `scalar_complexity`: the
+  normalized entropy, each kind's disequilibrium and C of one distribution
+  from elementwise formulas, against `kernels.rows_hd`, which computes them
+  for the package everywhere: the window engine, the simplex grid and the
+  point measures (`complexity_value`, `disequilibrium`,
+  `entropy_normalized`, `disequilibrium_sq`).
 - `f_divergence` with `tv_generator` and `jsd_generator`: the Csiszar
   f-divergence route to `total_variation` and `jsd`.
 - `family_complexity_direct`: a two-level family point's complexity from
@@ -16,13 +22,14 @@ batches or in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from statcomplex import (ComplexityKind, DataShapeError, DiscreteDistribution, FamilyError,
-                         FamilyPoint, RangeError, complexity_value, spike_family, uniform)
+                         FamilyPoint, RangeError, spike_family, uniform)
 from statcomplex import measures
 from statcomplex.rows import round6
 from statcomplex.sigproc import WINDOW_MIXED, WINDOW_OFF, WINDOW_ON
@@ -36,6 +43,37 @@ def normalized(weights) -> DiscreteDistribution:
     """Nonnegative weights, not all zero, scaled to unit sum."""
     w = np.asarray(weights, dtype=np.float64)
     return DiscreteDistribution(w / w.sum())
+
+
+# ---------------------------------------------------------------------------
+# entropy, disequilibrium and complexity against uniform
+# ---------------------------------------------------------------------------
+
+def scalar_entropy(p) -> float:
+    """Shannon entropy divided by log(n), clipped to [0, 1]."""
+    arr = measures._distribution(p).probs
+    h = measures._neg_plogp(arr) / math.log(arr.size)
+    # guard the [0, 1] contract against last-ulp float excess
+    return min(max(h, 0.0), 1.0)
+
+
+def scalar_disequilibrium(dist, kind: ComplexityKind) -> float:
+    """Distance of `dist` from the uniform reference, per `kind`."""
+    dist = measures._distribution(dist)
+    p = dist.probs
+    if kind is ComplexityKind.SQ:
+        return float(((p - 1.0 / p.size) ** 2).sum())
+    ref = np.full(dist.n, 1.0 / dist.n)
+    if kind is ComplexityKind.TV:
+        tv = measures._total_variation(p, ref)
+        return tv * tv
+    return measures._jsd_nats(p, ref) * measures._unit_scale("bits")
+
+
+def scalar_complexity(dist, kind: ComplexityKind = ComplexityKind.SQ) -> float:
+    """C = normalized entropy times disequilibrium of the chosen kind."""
+    dist = measures._distribution(dist)
+    return scalar_entropy(dist) * scalar_disequilibrium(dist, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +135,7 @@ def family_complexity_direct(kind: ComplexityKind, point: FamilyPoint) -> float:
     """A family point's complexity from the explicit distribution (integer mode)."""
     if point.mode != "integer":
         raise FamilyError("direct evaluation requires an integer group size")
-    return complexity_value(spike_family(point), kind)
+    return scalar_complexity(spike_family(point), kind)
 
 
 def spectrum_distribution(window) -> DiscreteDistribution:

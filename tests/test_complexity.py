@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from scalar_reference import f_divergence, family_complexity_direct, jsd_generator
+from scalar_reference import (f_divergence, family_complexity_direct, jsd_generator,
+                              scalar_complexity, scalar_entropy)
 from statcomplex import (
     ComplexityKind,
     DimensionError,
@@ -14,6 +15,7 @@ from statcomplex import (
     RangeError,
     complexity_value,
     disequilibrium,
+    disequilibrium_sq,
     entropy_normalized,
     family_eval,
     family_surface,
@@ -26,6 +28,14 @@ from statcomplex import (
 )
 
 KINDS = list(ComplexityKind)
+
+
+def point_measures(kind):
+    """The four point measures, each a function of one distribution, at `kind`."""
+    return {"entropy_normalized": entropy_normalized,
+            "disequilibrium_sq": disequilibrium_sq,
+            "disequilibrium": lambda p: disequilibrium(p, kind),
+            "complexity_value": lambda p: complexity_value(p, kind)}
 
 
 def test_kind_parse():
@@ -73,7 +83,7 @@ def test_c_jsd_against_generator_route():
     for _ in range(100):
         n = int(rng.integers(2, 65))
         p = rng.dirichlet(np.ones(n))
-        expected = entropy_normalized(p) * f_divergence(p, uniform(n), spec)
+        expected = scalar_entropy(p) * f_divergence(p, uniform(n), spec)
         assert complexity_value(p, ComplexityKind.JSD) == pytest.approx(expected, abs=1e-10)
 
 
@@ -106,10 +116,11 @@ def test_scalar_reference_validates_each_input_once(monkeypatch):
     p, q = rng.dirichlet(np.ones(64)), rng.dirichlet(np.ones(64))
     dist = DiscreteDistribution(p)
     for kind in KINDS:
-        for arg, constructions in ((p, 1), (dist, 0)):
-            calls.clear()
-            complexity_value(arg, kind)
-            assert len(calls) == constructions, kind
+        for name, measure in point_measures(kind).items():
+            for arg, constructions in ((p, 1), (dist, 0)):
+                calls.clear()
+                measure(arg)
+                assert len(calls) == constructions, (name, kind)
     calls.clear()
     jsd(p, q)
     assert len(calls) == 2
@@ -119,6 +130,33 @@ def test_disequilibrium_examples():
     assert disequilibrium([0, 0, 0, 1.0], ComplexityKind.SQ) == pytest.approx(0.75, abs=1e-15)
     assert disequilibrium([0.5, 0.5, 0, 0], ComplexityKind.SQ) == pytest.approx(0.25, abs=1e-15)
     assert disequilibrium(uniform(16), ComplexityKind.TV) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 64])
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_hot_gives_no_negative_zero(kind, n):
+    one_hot = np.zeros(n)
+    one_hot[n // 2] = 1.0
+    values = {name: measure(one_hot) for name, measure in point_measures(kind).items()}
+    assert values["entropy_normalized"] == 0.0
+    assert values["complexity_value"] == 0.0
+    for name, value in values.items():
+        assert math.copysign(1.0, value) == 1.0, (name, value)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_point_measures_leave_their_input_unchanged(kind):
+    p = np.random.default_rng(5).dirichlet(np.ones(16))
+    p[3] = 0.0
+    p /= p.sum()
+    before = p.tobytes()
+    dist = DiscreteDistribution(p)
+    assert not dist.probs.flags.writeable
+    for name, measure in point_measures(kind).items():
+        value = measure(p)
+        assert p.flags.writeable and p.tobytes() == before, name
+        assert measure(dist) == value, name
+        assert dist.probs.tobytes() == before, name
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +250,7 @@ def test_simplex3_surface():
     assert surf[0, 0] == pytest.approx(0.0, abs=1e-12)
     i = j = m // 3 + 1  # (4/10, 4/10, 2/10) for m=10
     third = np.array([i / m, j / m, 1.0 - (i + j) / m])
-    assert surf[i, j] == pytest.approx(complexity_value(third, ComplexityKind.SQ), abs=1e-12)
+    assert surf[i, j] == pytest.approx(scalar_complexity(third, ComplexityKind.SQ), abs=1e-12)
     with pytest.raises(RangeError):
         simplex3_surface(ComplexityKind.SQ, 1)
 
@@ -238,7 +276,7 @@ def test_simplex3_surface_matches_direct_functional(kind):
     for i in range(m + 1):
         for j in range(m + 1 - i):
             z = max(1.0 - i / m - j / m, 0.0)  # the surface clamps round-off below 0 too
-            direct = complexity_value([i / m, j / m, z], kind)
+            direct = scalar_complexity([i / m, j / m, z], kind)
             assert surf[i, j] == pytest.approx(direct, rel=1e-12, abs=1e-14), (i, j)
 
 

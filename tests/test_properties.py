@@ -6,12 +6,11 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import family_complexity_direct, normalized, spectrum_distribution
+from scalar_reference import (family_complexity_direct, normalized, scalar_complexity,
+                              scalar_disequilibrium, scalar_entropy, spectrum_distribution)
 from statcomplex import (ComplexityKind, FamilyPoint, SignalConfig, classify_windows,
                          complexity_series, complexity_value, family_eval, indicator_mask, jsd,
                          kernels, total_variation)
-from statcomplex.complexity import disequilibrium
-from statcomplex.measures import entropy_normalized
 from statcomplex.sigproc import WINDOW_MIXED, WINDOW_OFF, WINDOW_ON
 
 CODES = list(ComplexityKind)
@@ -105,18 +104,18 @@ def _table(style, n, seed, rows=8):
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_rows_c_matches_scalar_oracle(kind, n, style, seed):
     p = _table(style, n, seed)
-    ref = np.array([complexity_value(row, kind) for row in p])
+    ref = np.array([scalar_complexity(row, kind) for row in p])
     one_h, one_d = kernels.rows_hd(p.copy(), n, _row_sum, kinds=(kind,))
     c = one_h * one_d[kind]
     np.testing.assert_allclose(c, ref, rtol=1e-12, atol=1e-14)
-    # one pass for every kind: h and each d match the scalar measures, and
+    # one pass for every kind: h and each d match the scalar formulas, and
     # h * d is the one-kind C bit for bit
     h, d = kernels.rows_hd(p.copy(), n, _row_sum)
-    np.testing.assert_allclose(h, [entropy_normalized(row) for row in p],
+    np.testing.assert_allclose(h, [scalar_entropy(row) for row in p],
                                rtol=1e-12, atol=1e-14)
     assert set(d) == set(ComplexityKind)
     for k, column in d.items():
-        np.testing.assert_allclose(column, [disequilibrium(row, k) for row in p],
+        np.testing.assert_allclose(column, [scalar_disequilibrium(row, k) for row in p],
                                    rtol=1e-12, atol=1e-14)
     assert np.array_equal(h * d[kind], c)
 
