@@ -20,17 +20,19 @@ import numpy as np
 from . import kernels, measures
 from .dist import FamilyPoint
 from .errors import DimensionError, FamilyError, RangeError
-from .kernels import ComplexityKind
+from .kernels import ComplexityKind, _check_kind
 from .rows import write_rows
 
 
 def disequilibrium(dist, kind: ComplexityKind) -> float:
     """Distance of `dist` from the uniform reference, per `kind`."""
+    _check_kind(kind)
     return measures._hd(dist, (kind,))[1][kind]
 
 
 def complexity_value(dist, kind: ComplexityKind = ComplexityKind.SQ) -> float:
     """C = normalized entropy times disequilibrium of the chosen kind."""
+    _check_kind(kind)
     h, d = measures._hd(dist, (kind,))
     return h * d[kind]
 
@@ -52,6 +54,7 @@ class FamilyEvaluation:
 
 def family_eval(kind: ComplexityKind, point: FamilyPoint) -> FamilyEvaluation:
     """Evaluate one two-level family point through the closed forms."""
+    _check_kind(kind)
     h, d, c = kernels.family_hdc(kind, float(point.n), point.omega_value, point.p_max)
     return FamilyEvaluation(kind=kind, point=point, h=h, d=d, c=c)
 
@@ -66,6 +69,7 @@ def check_family_size(n: int) -> None:
 
 def family_surface(kind: ComplexityKind, n: int, omegas, p_maxes) -> np.ndarray:
     """Complexity over the outer grid omegas x p_maxes; shape (len(w), len(p))."""
+    _check_kind(kind)
     check_family_size(n)
     w = np.asarray(omegas, dtype=np.float64)
     p = np.asarray(p_maxes, dtype=np.float64)
@@ -80,6 +84,7 @@ def family_surface(kind: ComplexityKind, n: int, omegas, p_maxes) -> np.ndarray:
 
 def simplex3_surface(kind: ComplexityKind, m: int) -> np.ndarray:
     """Complexity over the lattice {(i/m, j/m, 1-i/m-j/m)}; NaN off-simplex."""
+    _check_kind(kind)
     if m < 2:
         raise RangeError("simplex lattice needs m >= 2")
     return np.asarray(kernels.simplex3_c_grid(kind, int(m)))

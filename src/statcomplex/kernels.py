@@ -52,6 +52,12 @@ class ComplexityKind(enum.Enum):
             raise RangeError(f"unknown complexity kind {text!r}; expected one of: {valid}")
 
 
+def _check_kind(kind) -> None:
+    """RangeError unless `kind` is a `ComplexityKind`; a name such as "tv" is not."""
+    if not isinstance(kind, ComplexityKind):
+        raise RangeError(f"complexity kind must be a ComplexityKind, got {kind!r}")
+
+
 def rows_hd(p: np.ndarray, n: int, rowsum, scratch: np.ndarray = None,
             kinds=tuple(ComplexityKind)) -> tuple:
     """The entropy factor h of each row of `p`, a table of n-state distributions,

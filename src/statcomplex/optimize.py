@@ -308,6 +308,7 @@ def maximize_family(kind: ComplexityKind, n: int, mode: str = "continuous") -> O
     refined rows in integer mode.  The result is mapped onto the
     p_max >= 1/2 twin branch.
     """
+    kernels._check_kind(kind)
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DimensionError("alphabet size must be an integer")
     if n < 3:

@@ -1,7 +1,7 @@
 """File output: one opener for every file the package writes, one writer for
-the CSV and JSON tables it emits, and one for its JSON documents (configs,
-summaries).  `sigproc.write_report_json` lays the report out from its own
-template and the list layout here.
+the CSV tables it emits, and one for every JSON document (configs, summaries,
+reports, and the tables and grids as JSON).  This module alone lays JSON out:
+`write_json` writes a document in pieces, so the whole text is never held.
 
 Rows are tuples in header order.  CSV writes floats with 6 significant
 digits; JSON writes a list of objects whose floats are rounded to the
@@ -186,31 +186,34 @@ def _json_list(rows: RowList, indent, depth=0):
     yield close_list
 
 
-def json_text(obj, depth: int = 0) -> str:
-    """`obj` as `json.dumps(obj, indent=2)` lays it out at nesting `depth`.
-
-    A non-empty dict is laid out member by member, and its keys must be
-    strings; a `RowList` among its values is laid out from its template.
-    Anything else goes through `json.dumps`, re-indented to `depth`.
-    """
+def _json_pieces(obj, indent, depth=0):
+    """The text of `obj` as `json.dumps(obj, indent=indent)` lays it out at nesting
+    `depth`, in pieces: a `RowList` block by block (`_json_list`), a non-empty
+    dict member by member (its keys must be strings), a scalar through
+    `json_scalar`, anything else through `json.dumps`, re-indented to `depth`."""
+    outer = "\n" + " " * ((indent or 0) * depth)
     if isinstance(obj, RowList):
-        return "".join(_json_list(obj, _INDENT, depth))
-    if isinstance(obj, dict) and obj:
-        pad = "\n" + " " * (_INDENT * (depth + 1))
-        members = [f"{json.dumps(key)}: {json_text(value, depth + 1)}"
-                   for key, value in obj.items()]
-        return "{" + pad + ("," + pad).join(members) + "\n" + " " * (_INDENT * depth) + "}"
-    if not isinstance(obj, (dict, list, tuple)):
-        return json_scalar(obj)
-    return json.dumps(obj, indent=_INDENT).replace("\n", "\n" + " " * (_INDENT * depth))
+        yield from _json_list(obj, indent, depth)
+    elif isinstance(obj, dict) and obj:
+        sep = ", " if indent is None else "," + outer + " " * indent
+        piece, close = ("{", "}") if indent is None else ("{" + sep[1:], outer + "}")
+        for key, value in obj.items():
+            yield f"{piece}{json.dumps(key)}: "
+            yield from _json_pieces(value, indent, depth + 1)
+            piece = sep
+        yield close
+    elif isinstance(obj, (dict, list, tuple)):
+        yield json.dumps(obj, indent=indent).replace("\n", outer)
+    else:
+        yield json_scalar(obj)
 
 
-def write_json(path, obj) -> None:
-    """Write `obj` to `path` as `json.dump(obj, indent=2)` plus a trailing newline,
-    in one write; see `json_text` for the `RowList` values it may hold."""
-    text = json_text(obj) + "\n"
+def write_json(path, obj, indent=_INDENT) -> None:
+    """Write `obj` to `path` as `json.dump(obj, indent=indent)` plus a trailing
+    newline, in pieces; see `_json_pieces` for the `RowList` values it may hold."""
     with open_output(path) as fh:
-        fh.write(text)
+        fh.writelines(_json_pieces(obj, indent))
+        fh.write("\n")
 
 
 def write_rows(path, header, rows, indent=None) -> None:
@@ -218,16 +221,13 @@ def write_rows(path, header, rows, indent=None) -> None:
 
     `rows` is consumed lazily, so a generator keeps memory flat however
     many rows there are.  The line template is built once from the first
-    row: a float column is formatted as a float in every row.  `indent`
-    lays the JSON out as `json.dump` would, from the same template code as
-    a `RowList` in `write_json`; CSV ignores it.
+    row: a float column is formatted as a float in every row.  JSON is
+    written by `write_json` as one `RowList` at `indent`; CSV ignores it.
     """
-    as_json = Path(path).suffix.lower() == ".json"
+    if Path(path).suffix.lower() == ".json":
+        write_json(path, RowList(header, rows), indent)
+        return
     with open_output(path) as fh:
-        if as_json:
-            fh.writelines(_json_list(RowList(header, rows), indent))
-            fh.write("\n")
-            return
         rows = iter(rows)
         first = next(rows, None)
         fh.write(",".join(header) + "\n")

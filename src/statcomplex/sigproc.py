@@ -32,10 +32,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .complexity import ComplexityKind
 from .errors import AliasingError, DataShapeError, RangeError
-from .kernels import rows_hd
+from .kernels import _check_kind, rows_hd
 from .optimize import threshold as complexity_threshold
-from .rows import (RowList, json_float, json_floats, json_scalar, json_text, open_output,
-                   round6, write_rows)
+from .rows import (RowList, json_floats, json_scalar, open_output, round6, write_json,
+                   write_rows)
 
 TWO_PI = 2.0 * math.pi
 # Largest record, in samples, that a config may describe (512 MiB of float64).
@@ -496,6 +496,7 @@ def complexity_series(samples, window_length: int = 2048, hop: int = None,
     hop, of any kind, does not transform it again.  `sample_rate`, which
     sets `t_centers`, must be finite and positive (RangeError otherwise).
     """
+    _check_kind(kind)
     x = _check_record(samples, window_length)
     if hop is None:
         hop = window_length
@@ -705,6 +706,7 @@ def detect(samples, config: SignalConfig, kind: ComplexityKind = ComplexityKind.
     reported but excluded from both rates.  `include_distributions` keeps the
     engine's spectra in the report, a window of zeros as uniform.
     """
+    _check_kind(kind)
     x = _check_record(samples, window_length)
     window_length = int(window_length)
     gamma = complexity_threshold(kind, window_length, fraction)
@@ -832,42 +834,6 @@ def write_series_csv(path, series: WindowSeries) -> None:
                    series.decisions.view(np.int8).tolist()))
 
 
-# The layout of `json.dumps(document, indent=2)` for a report's document: each
-# field takes its value's JSON text, a list laid out (`rows.RowList`) at its
-# nesting, and `distributions` is empty or the member that follows "windows".
-# The keys are those of `SignalConfig.to_dict` and `DetectionMetrics.to_dict`,
-# in their order.
-_REPORT_JSON = """\
-{{
-  "kind": {kind},
-  "window_length": {window_length},
-  "threshold": {threshold},
-  "config": {{
-    "sample_rate": {sample_rate},
-    "duration": {duration},
-    "components": {components},
-    "noise_sigma": {noise_sigma},
-    "indicator_on": [
-      {t_start},
-      {t_end}
-    ],
-    "seed": {seed}
-  }},
-  "metrics": {{
-    "n_windows": {n_windows},
-    "n_on": {n_on},
-    "n_off": {n_off},
-    "n_mixed": {n_mixed},
-    "n_hit": {n_hit},
-    "n_false_alarm": {n_false_alarm},
-    "hit_rate_on_interval": {hit_rate_on_interval},
-    "false_alarm_rate_off_interval": {false_alarm_rate_off_interval},
-    "mean_c_on": {mean_c_on},
-    "mean_c_off": {mean_c_off}
-  }},
-  "windows": {windows}{distributions}
-}}
-"""
 _WINDOW_KEYS = ("t_center", "c_value", "decision", "state")
 _JSON_BOOLS = ("false", "true")
 
@@ -886,43 +852,34 @@ def _mirrored_texts(half) -> list:
 
 def write_report_json(path, report: DetectionReport) -> None:
     """Write the JSON document of `report` to `path`, byte for byte as `json.dump(indent=2)`
-    of it as a dict would, in one write and without building that dict.  Its
-    `"distributions"`, present when the report holds them, are the N/2 + 1 bins
-    with bins 1 .. N/2 - 1 mirrored out to N bins.
+    of it as a dict would, in pieces (`rows.write_json`).  Its `"distributions"`,
+    present when the report holds them, are the N/2 + 1 bins with bins
+    1 .. N/2 - 1 mirrored out to N bins.
 
-    The document is laid out from one template (`_REPORT_JSON`), filled from
-    the header scalars, the config's scalars and the metrics, each through
-    `json_scalar`, and from its lists, laid out from row templates
-    (`rows.RowList`).  The window columns are encoded in advance, each float
-    column in one pass (`json_floats`); each window's distribution is encoded
-    as the list reads it, over its N/2 + 1 bins, whose texts the mirrored
-    bins reuse.  So window and distribution floats are rounded by `round6`;
+    The document's lists are laid out from row templates (`rows.RowList`).  The
+    window columns are encoded in advance, each float column in one pass
+    (`json_floats`); each window's distribution is encoded as the list reads
+    it, over its N/2 + 1 bins, whose texts the mirrored bins reuse.  So the
+    threshold, window and distribution floats are rounded by `round6`;
     component floats are written in full, so that the config echo loads back
     to the same config.
     """
     series = report.series
-    config = report.config
     keys = tuple(_COMPONENT_KEYS)
-    components = RowList(keys, map(operator.attrgetter(*keys), config.components),
+    components = RowList(keys, map(operator.attrgetter(*keys), report.config.components),
                          (partial(map, json_scalar),) * len(keys))
     decisions = map(_JSON_BOOLS.__getitem__, series.decisions.view(np.int8).tolist())
     states = map(_STATE_JSON.__getitem__, report.states.tolist())
-    windows = RowList(_WINDOW_KEYS, zip(json_floats(series.t_centers.tolist()),
-                                        json_floats(series.c_values.tolist()),
-                                        decisions, states), (_encoded,) * len(_WINDOW_KEYS))
-    distributions = ""
+    document = {
+        "kind": series.kind.value, "window_length": series.window_length,
+        "threshold": round6(series.threshold),
+        "config": {**vars(report.config), "components": components},
+        "metrics": report.metrics.to_dict(),
+        "windows": RowList(_WINDOW_KEYS, zip(json_floats(series.t_centers.tolist()),
+                                             json_floats(series.c_values.tolist()),
+                                             decisions, states),
+                           (_encoded,) * len(_WINDOW_KEYS))}
     if report.distributions is not None:
-        rows = RowList(None, map(_mirrored_texts, report.distributions),
-                       (_encoded,) * series.window_length)
-        distributions = ',\n  "distributions": ' + json_text(rows, 1)
-    t_start, t_end = config.indicator_on
-    metrics = {key: json_scalar(value) for key, value in report.metrics.to_dict().items()}
-    text = _REPORT_JSON.format(
-        kind=json_scalar(series.kind.value), window_length=json_scalar(series.window_length),
-        threshold=json_float(series.threshold), sample_rate=json_scalar(config.sample_rate),
-        duration=json_scalar(config.duration), components=json_text(components, 2),
-        noise_sigma=json_scalar(config.noise_sigma), t_start=json_scalar(t_start),
-        t_end=json_scalar(t_end), seed=json_scalar(config.seed), **metrics,
-        windows=json_text(windows, 1), distributions=distributions)
-    with open_output(path) as fh:
-        fh.write(text)
+        document["distributions"] = RowList(None, map(_mirrored_texts, report.distributions),
+                                            (_encoded,) * series.window_length)
+    write_json(path, document)

@@ -13,15 +13,21 @@ from statcomplex import (
     FamilyEvaluation,
     FamilyPoint,
     RangeError,
+    SignalConfig,
+    complexity_series,
     complexity_value,
+    detect,
     disequilibrium,
     disequilibrium_sq,
     entropy_normalized,
     family_eval,
     family_surface,
     jsd,
+    maximize_family,
     simplex3_surface,
     spike_family,
+    synthesize,
+    threshold,
     uniform,
     write_family_grid_csv,
     write_simplex_grid_csv,
@@ -300,3 +306,29 @@ def test_simplex_grid_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "p1,p2,c"
     assert len(lines) == 1 + 15  # 5*6/2 lattice points for m=4
+
+
+_QUIET = SignalConfig(sample_rate=8192, duration=0.25, noise_sigma=1.0, seed=0)
+# Every public entry that takes a kind, called with `kind` and otherwise valid arguments.
+_KIND_ENTRIES = {
+    "complexity_value": lambda kind: complexity_value([0.5, 0.3, 0.2], kind),
+    "disequilibrium": lambda kind: disequilibrium([0.5, 0.3, 0.2], kind),
+    "family_eval": lambda kind: family_eval(kind, FamilyPoint(n=8, omega=0.5, p_max=0.9)),
+    "family_surface": lambda kind: family_surface(kind, 8, [0.5], [0.9]),
+    "simplex3_surface": lambda kind: simplex3_surface(kind, 4),
+    "maximize_family": lambda kind: maximize_family(kind, 2048),
+    "threshold": lambda kind: threshold(kind, 2048),
+    "complexity_series": lambda kind: complexity_series(synthesize(_QUIET), 256, kind=kind),
+    "detect": lambda kind: detect(synthesize(_QUIET), _QUIET, kind, window_length=256),
+}
+
+
+@pytest.mark.parametrize("entry", list(_KIND_ENTRIES))
+def test_kind_must_be_a_complexity_kind(entry):
+    # a kind's name is refused, not looked up, misread as another kind or cached
+    call = _KIND_ENTRIES[entry]
+    for bad in ("tv", "sq", "TV", None, 0):
+        with pytest.raises(RangeError, match="ComplexityKind"):
+            call(bad)
+    call(ComplexityKind.TV)
+    assert maximize_family(ComplexityKind.TV, 2048).c_star == pytest.approx(0.5666, abs=1e-4)

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statcomplex import rows
-from statcomplex.rows import (RowList, json_float, json_floats, json_scalar, json_text,
-                              open_output, round6, write_json, write_rows)
+from statcomplex.rows import (RowList, json_float, json_floats, json_scalar, open_output,
+                              round6, write_json, write_rows)
 from statcomplex.sigproc import write_samples
 
 HEADER = ("kind", "n", "c", "flag")
@@ -80,9 +80,18 @@ def test_empty_rows(tmp_path):
 
 
 def test_write_json_matches_json_dump(tmp_path):
-    obj = {"c": [0.1, math.nan, -math.inf], "kind": "tv", "n": 3, "rows": [{"x": None}]}
+    obj = {"c": [0.1, math.nan, -math.inf], "kind": "tv", "n": 3, "rows": [{"x": None}],
+           "inner": {"y": [], "z": {}}}
     write_json(tmp_path / "doc.json", obj)
     assert (tmp_path / "doc.json").read_text() == json.dumps(obj, indent=2) + "\n"
+    for indent in (None, 0, 4):
+        write_json(tmp_path / "doc.json", obj, indent)
+        assert (tmp_path / "doc.json").read_text() == json.dumps(obj, indent=indent) + "\n"
+
+
+def _joined(obj):
+    """The pieces of `write_json` joined: `obj` at indent 2, without the newline."""
+    return "".join(rows._json_pieces(obj, 2))
 
 
 def _rounded(rows):
@@ -94,13 +103,13 @@ def _rounded(rows):
 def test_row_list_matches_json_dump_at_depth(listed):
     # the row layout nested at depth 0 and 1, as objects and as arrays, with the
     # default column encoders (floats to 6 digits) and with full-precision ones
-    assert json_text(RowList(HEADER, iter(listed))) == json.dumps(_rounded(listed), indent=2)
+    assert _joined(RowList(HEADER, iter(listed))) == json.dumps(_rounded(listed), indent=2)
     arrays = [[row[2], -row[2]] for row in listed]
     doc = {"n": 3, "rows": RowList(HEADER, iter(listed)), "tail": [1.5, None],
            "inner": {"arrays": RowList(None, arrays, (partial(map, json_scalar),) * 2), "x": {}}}
     expected = {"n": 3, "rows": _rounded(listed), "tail": [1.5, None],
                 "inner": {"arrays": arrays, "x": {}}}
-    assert json_text(doc) == json.dumps(expected, indent=2)
+    assert _joined(doc) == json.dumps(expected, indent=2)
 
 
 def test_rows_written_in_blocks_match_json_dump(tmp_path, monkeypatch):
@@ -109,7 +118,7 @@ def test_rows_written_in_blocks_match_json_dump(tmp_path, monkeypatch):
     many = ROWS * 2 + ROWS[:1]
     write_rows(tmp_path / "rows.json", HEADER, iter(many), indent=2)
     assert (tmp_path / "rows.json").read_text() == json.dumps(_rounded(many), indent=2) + "\n"
-    assert json_text({"rows": RowList(HEADER, many)}) == json.dumps({"rows": _rounded(many)},
+    assert _joined({"rows": RowList(HEADER, many)}) == json.dumps({"rows": _rounded(many)},
                                                                    indent=2)
 
 

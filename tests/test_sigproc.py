@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -36,7 +37,7 @@ from statcomplex import (
     write_samples,
     write_series_csv,
 )
-from statcomplex import sigproc
+from statcomplex import rows, sigproc
 from statcomplex.sigproc import WINDOW_MIXED, WINDOW_OFF, WINDOW_ON
 
 TV = ComplexityKind.TV
@@ -1089,3 +1090,46 @@ def test_report_writer_matches_json_dump(tmp_path, kind, case):
     path = tmp_path / "report.json"
     write_report_json(path, report)
     assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+
+class _Recorder:
+    """A text file that keeps each piece written to it."""
+
+    def __init__(self, fh, pieces):
+        self.fh, self.pieces = fh, pieces
+
+    def write(self, text):
+        self.pieces.append(text)
+        self.fh.write(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+
+# A JSON value of a report, once its keys are taken out.
+_JSON_VALUE = re.compile(r'-?\d[\d.eE+-]*|true|false|null|NaN|-?Infinity|"\w+"')
+
+
+def test_report_written_in_pieces_of_one_block(tmp_path, monkeypatch):
+    # distributions over many blocks give json.dump's bytes, and no piece written
+    # holds more than one block of values: the document is never held whole
+    monkeypatch.setattr(rows, "_BLOCK_VALUES", 64)  # 2 distributions of 32 bins
+    pieces = []
+    real_open = rows.open_output
+
+    @contextlib.contextmanager
+    def recording(path, binary=False):
+        with real_open(path, binary) as fh:
+            yield _Recorder(fh, pieces)
+
+    monkeypatch.setattr(rows, "open_output", recording)
+    cfg = reference_config(3, seed=9, duration=1.0, indicator_on=(0.25, 0.75))
+    report = detect(synthesize(cfg), cfg, TV, window_length=32, include_distributions=True)
+    path = tmp_path / "report.json"
+    write_report_json(path, report)
+    payload = report_to_dict(report)
+    assert len(payload["distributions"]) == 256
+    assert path.read_text() == json.dumps(payload, indent=2) + "\n" == "".join(pieces)
+    counts = [len(_JSON_VALUE.findall(re.sub(r'"\w+": ', "", piece))) for piece in pieces]
+    assert max(counts) == 64
