@@ -19,7 +19,7 @@ from .optimize import (OptimumRecord, ResidualTriple, SimplexExtremum,
                        maximize_family, threshold, tv_residuals, write_table_csv)
 from .sigproc import (DetectionMetrics, DetectionReport, HarmonicComponent,
                       SignalConfig, WindowSeries, classify_windows,
-                      complexity_series, detect, indicator_mask, read_samples,
+                      complexity_series, detect, read_samples,
                       reference_config, synthesize, write_report_json, write_samples,
                       write_series_csv)
 
@@ -33,7 +33,7 @@ __all__ = [
     "WindowSeries", "brute_force_simplex", "build_optimum_table",
     "classify_windows", "complexity_series", "complexity_value", "detect",
     "disequilibrium", "disequilibrium_sq", "entropy_normalized", "family_eval",
-    "family_surface", "indicator_mask", "jsd", "lemma3_residual",
+    "family_surface", "jsd", "lemma3_residual",
     "maximize_family", "read_samples", "reference_config", "simplex3_surface",
     "spike_family", "synthesize", "threshold", "total_variation",
     "tv_residuals", "uniform", "write_family_grid_csv", "write_report_json",

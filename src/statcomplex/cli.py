@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexity import (ComplexityKind, check_family_size, write_family_grid_csv,
-                         write_simplex_grid_csv)
+from .complexity import ComplexityKind, write_family_grid_csv, write_simplex_grid_csv
+from .dist import check_family_size
 from .errors import DataShapeError, RangeError
 from .optimize import _TABLE_SIZES, build_optimum_table, threshold, write_table_csv
 from .rows import round6, write_json

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, measures
-from .dist import FamilyPoint
-from .errors import DimensionError, FamilyError, RangeError
+from .dist import FamilyPoint, check_family_size
+from .errors import FamilyError, RangeError
 from .kernels import ComplexityKind, _check_kind
 from .rows import write_rows
 
@@ -39,7 +39,8 @@ def complexity_value(dist, kind: ComplexityKind = ComplexityKind.SQ) -> float:
 
 @dataclass(frozen=True)
 class FamilyEvaluation:
-    """Entropy factor, disequilibrium and complexity at one family point."""
+    """Entropy factor, disequilibrium and complexity at one family point, as
+    `family_eval` computes them: c is h * d.  Not re-validated."""
 
     kind: ComplexityKind
     point: FamilyPoint
@@ -47,24 +48,12 @@ class FamilyEvaluation:
     d: float
     c: float
 
-    def __post_init__(self):
-        if abs(self.c - self.h * self.d) > 1e-12 * max(1.0, abs(self.c)):
-            raise RangeError("complexity must equal entropy factor times disequilibrium")
-
 
 def family_eval(kind: ComplexityKind, point: FamilyPoint) -> FamilyEvaluation:
     """Evaluate one two-level family point through the closed forms."""
     _check_kind(kind)
     h, d, c = kernels.family_hdc(kind, float(point.n), point.omega_value, point.p_max)
     return FamilyEvaluation(kind=kind, point=point, h=h, d=d, c=c)
-
-
-def check_family_size(n: int) -> None:
-    """DimensionError unless the family is defined at alphabet size `n`: 2 <= n < 2**53."""
-    if n < 2:
-        raise DimensionError(f"family needs n >= 2, got {n}")
-    if n >= 2 ** 53:
-        raise DimensionError("family needs n < 2**53, the range of exact float64 integers")
 
 
 def family_surface(kind: ComplexityKind, n: int, omegas, p_maxes) -> np.ndarray:

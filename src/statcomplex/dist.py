@@ -58,6 +58,17 @@ class DiscreteDistribution:
         return self.n
 
 
+def check_family_size(n: int) -> None:
+    """DimensionError unless `n` is a family alphabet size: an integer (int or
+    numpy integer, not bool) with 2 <= n < 2**53, the exact float64 integers."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise DimensionError(f"family needs an integer n, got {n!r}")
+    if n < 2:
+        raise DimensionError(f"family needs n >= 2, got {n}")
+    if n >= 2 ** 53:
+        raise DimensionError("family needs n < 2**53, the range of exact float64 integers")
+
+
 @dataclass(frozen=True)
 class FamilyPoint:
     """Parameter point of the two-level family.
@@ -74,8 +85,7 @@ class FamilyPoint:
     k: int | None = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise DimensionError(f"family needs n >= 2, got {self.n}")
+        check_family_size(self.n)
         if (self.omega is None) == (self.k is None):
             raise FamilyError("give exactly one of omega (continuous) or k (integer)")
         if self.k is not None:

@@ -271,21 +271,13 @@ def reference_config(n_components: int, seed: int = 0, sample_rate: int = 8192,
 # synthesis
 # ---------------------------------------------------------------------------
 
-def indicator_mask(config: SignalConfig, n: int = None) -> np.ndarray:
-    """Boolean per-sample mask of the closed on-interval."""
-    n = config.n_samples if n is None else n
-    t = np.arange(n) / config.sample_rate
-    t_start, t_end = config.indicator_on
-    return (t >= t_start) & (t <= t_end)
-
-
 def _on_range(config: SignalConfig, n: int):
-    """Half-open index range [lo, hi), within [0, n], of the samples that
-    `indicator_mask` marks on: t_start <= i / rate <= t_end in float64.
+    """Half-open index range [lo, hi), within [0, n], of the samples on the
+    closed on-interval: t_start <= i / rate <= t_end in float64.
 
     i / rate is correctly rounded, so it never decreases with i and the on
-    samples are contiguous.  Both ends are found by bisection on the mask's
-    own comparisons, so they are exact however the interval's ends round.
+    samples are contiguous.  Both ends are found by bisection on those two
+    comparisons, so they are exact however the interval's ends round.
     """
     rate = config.sample_rate
     t_start, t_end = config.indicator_on
@@ -297,13 +289,13 @@ def synthesize(config: SignalConfig) -> np.ndarray:
     """Render the record described by `config`; reproducible given its seed.
 
     The cosine sum is gated by the on-interval indicator: it is computed
-    only on the samples `indicator_mask` marks on (`_on_range`), in blocks
-    of `_SYNTH_BLOCK` samples with each sample's terms summed in component
-    order, and the other samples stay 0.0.  Noise (if any) covers the full
-    record; it is drawn from the child stream [config.seed, 1] in one call
-    and added in place, so the call holds about two record-sized arrays,
-    the record and the noise.  A record that is not finite in float64, say
-    from amplitudes whose sum overflows, raises RangeError.
+    only on the samples i with t_start <= i / rate <= t_end (`_on_range`),
+    in blocks of `_SYNTH_BLOCK` samples, each sample's terms summed in
+    component order; the other samples stay 0.0.  Noise (if any) covers the
+    full record, drawn from the child stream [config.seed, 1] in one call
+    and added in place, so the call holds about two record-sized arrays.
+    A record not finite in float64 (say, amplitudes whose sum overflows)
+    raises RangeError.
     """
     n = config.n_samples
     lo, hi = _on_range(config, n)
@@ -640,7 +632,7 @@ _STATE_JSON = {WINDOW_ON: '"on"', WINDOW_OFF: '"off"', WINDOW_MIXED: '"mixed"'}
 def classify_windows(config: SignalConfig, n_samples: int, window_length: int,
                      hop: int) -> np.ndarray:
     """Sample-exact window states (fully on, fully off or mixed) from each window's
-    overlap with `_on_range`, the samples that `indicator_mask` marks on."""
+    overlap with `_on_range`, the samples i with t_start <= i / rate <= t_end."""
     lo, hi = _on_range(config, n_samples)
     starts = np.arange((n_samples - window_length) // hop + 1) * hop
     on_count = np.minimum(starts + window_length, hi) - np.maximum(starts, lo)

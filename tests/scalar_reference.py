@@ -16,6 +16,8 @@ batches or in closed form.
   its materialized distribution, against the closed forms.
 - `spectrum_distribution`: one window's N-bin power spectrum, against the
   batched window engine.
+- `indicator_mask`: the closed on-interval as a per-sample mask, against
+  `sigproc._on_range`, which `synthesize` and `classify_windows` use.
 - `report_to_dict`: the JSON document of a detection report, against the
   templated `write_report_json`.
 """
@@ -157,6 +159,14 @@ def spectrum_distribution(window) -> DiscreteDistribution:
     if total == 0.0:
         return uniform(n)
     return DiscreteDistribution(power / total)
+
+
+def indicator_mask(config, n: int = None) -> np.ndarray:
+    """Boolean per-sample mask of the closed on-interval t_start <= i / rate <= t_end."""
+    n = config.n_samples if n is None else n
+    t = np.arange(n) / config.sample_rate
+    t_start, t_end = config.indicator_on
+    return (t >= t_start) & (t <= t_end)
 
 
 _STATE_NAMES = {WINDOW_ON: "on", WINDOW_OFF: "off", WINDOW_MIXED: "mixed"}

@@ -10,7 +10,6 @@ from statcomplex import (
     DimensionError,
     DiscreteDistribution,
     FamilyError,
-    FamilyEvaluation,
     FamilyPoint,
     RangeError,
     SignalConfig,
@@ -209,13 +208,6 @@ def test_family_eval_product_and_boundary():
             assert abs(ev0.d) < 1e-12 and abs(ev0.c) < 1e-12
 
 
-def test_family_evaluation_consistency_check():
-    pt = FamilyPoint(n=8, omega=0.5, p_max=0.9)
-    ok = family_eval(ComplexityKind.SQ, pt)
-    with pytest.raises(RangeError):
-        FamilyEvaluation(kind=ok.kind, point=pt, h=ok.h, d=ok.d, c=ok.c + 1e-6)
-
-
 def test_direct_functional_rejects_continuous():
     with pytest.raises(FamilyError):
         family_complexity_direct(ComplexityKind.SQ, FamilyPoint(n=8, omega=0.4, p_max=0.9))
@@ -244,6 +236,11 @@ def test_family_surface_validation():
         family_surface(ComplexityKind.SQ, 16, [0.5], [0.5, 1.5])
     with pytest.raises(RangeError):
         family_surface(ComplexityKind.SQ, 16, [], [0.5])
+    # the alphabet size must be an integer, as everywhere in the family
+    for n in (1024.5, 1024.0, True, "1024"):
+        with pytest.raises(DimensionError, match="integer n"):
+            family_surface(ComplexityKind.TV, n, [0.5], [0.9])
+    assert family_surface(ComplexityKind.TV, np.int64(1024), [0.5], [0.9]).shape == (1, 1)
 
 
 def test_simplex3_surface():

@@ -88,6 +88,14 @@ def test_family_point_validation():
         FamilyPoint(n=8, p_max=1.5, k=4)
     with pytest.raises(DimensionError):
         FamilyPoint(n=1, p_max=0.5, k=1)
+    # n follows the family-size rule: an integer, not bool, with 2 <= n < 2**53
+    for n in (8.5, 8.0, True, "8"):
+        with pytest.raises(DimensionError, match="integer n"):
+            FamilyPoint(n=n, k=3, p_max=0.5)
+    with pytest.raises(DimensionError, match="2\\*\\*53"):
+        FamilyPoint(n=2 ** 60, omega=0.5, p_max=0.5)
+    assert FamilyPoint(n=np.int64(8), k=3, p_max=0.5).n == 8
+    assert FamilyPoint(n=2 ** 53 - 1, omega=0.5, p_max=0.5).n == 2 ** 53 - 1
 
 
 def test_family_point_modes():

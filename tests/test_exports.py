@@ -8,7 +8,7 @@ import statcomplex
 REMOVED = ("kl_divergence", "error_function", "kl_generator", "c_sq", "c_jsd", "c_tv",
            "normalize", "DegenerateInputError", "SupportError", "FDivergenceSpec",
            "f_divergence", "tv_generator", "jsd_generator", "family_complexity_direct",
-           "spectrum_distribution", "report_to_dict")
+           "spectrum_distribution", "report_to_dict", "indicator_mask")
 
 
 def test_every_export_resolves():

@@ -310,7 +310,7 @@ def test_maximize_family_validation():
 def test_maximize_family_size_caps():
     with pytest.raises(DimensionError, match="2\\*\\*53"):
         maximize_family(TV, 2 ** 53)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="2\\*\\*53"):
         maximize_family(TV, 10 ** 400)  # beyond float range: no OverflowError
     for kind in (SQ, JSD, TV):
         r = maximize_family(kind, 2 ** 53 - 1)
@@ -330,11 +330,23 @@ def test_monotone_trends():
     assert sq[-1] > 4.0 / 27.0, "finite-n SQ optimum stays above its asymptote"
 
 
-def test_optimum_record_consistency_gate():
-    r = maximize_family(TV, 64)
-    with pytest.raises(RangeError):
-        OptimumRecord(kind=TV, n=64, c_star=r.c_star + 1e-3,
-                      p_max_star=r.p_max_star, omega_star=r.omega_star)
+_RECORD_SIZES = sorted(set(range(3, 301)) | {
+    int(n) for n in np.geomspace(301, 2 ** 53 - 1, 60).round()} | {2 ** 53 - 1})
+
+
+def test_optimum_record_invariants():
+    # records are not checked when built: every solve path must place the
+    # optimum inside the band on the reported branch, and report the closed
+    # form's own value there (exactly, so no tolerance is needed)
+    solves = [(kind, n, "continuous") for kind in (SQ, JSD, TV) for n in _RECORD_SIZES]
+    solves += [(kind, n, "integer") for kind in (SQ, JSD, TV) for n in (3, 17, 256, 2048)]
+    for kind, n, mode in solves:
+        r = maximize_family(kind, n, mode=mode)
+        assert isinstance(r, OptimumRecord) and (r.kind, r.n, r.mode) == (kind, n, mode)
+        assert 0.0 < r.omega_star < 1.0, (kind, n, mode)
+        assert 0.5 <= r.p_max_star <= 1.0, (kind, n, mode)
+        point = FamilyPoint(n=n, omega=r.omega_star, p_max=r.p_max_star)
+        assert r.c_star == family_eval(kind, point).c, (kind, n, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +377,8 @@ def test_build_table_and_csv(tmp_path):
     records = build_optimum_table(ns=(3, 256))
     assert len(records) == 6
     assert [r.kind for r in records] == [SQ, SQ, JSD, JSD, TV, TV]
+    with pytest.raises(DimensionError):  # refused, not truncated to n = 256
+        build_optimum_table(ns=(256.7,))
     path = tmp_path / "tables.csv"
     write_table_csv(path, records)
     lines = path.read_text().strip().splitlines()
@@ -385,10 +399,18 @@ def test_residuals_vanish_on_diagonal():
 
 
 def test_residual_difference_identity():
+    # f3 = f1 - f2 is not checked when a triple is built; it holds by algebra
     rng = np.random.default_rng(71)
+    points = [(rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)) for _ in range(300)]
+    # near the edges of the open square: each coordinate within 1e-12 .. 1e-3 of 0 or 1
     for _ in range(300):
+        near = 10.0 ** rng.uniform(-12.0, -3.0, size=2)
+        far = rng.uniform(0.01, 0.99, size=2)
+        edge = rng.integers(0, 3, size=2)  # 0: near 0, 1: near 1, 2: inside
+        points.append(tuple(np.choose(edge, [near, 1.0 - near, far])))
+    for omega, p_max in points:
         n = int(rng.integers(2, 4097))
-        t = tv_residuals(n, float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.01, 0.99)))
+        t = tv_residuals(n, float(omega), float(p_max))
         assert t.f3 == pytest.approx(t.f1 - t.f2, abs=1e-10 * max(1.0, abs(t.f3)))
 
 
@@ -416,6 +438,10 @@ def test_residuals_need_interior_point():
         tv_residuals(64, 0.5, 1.0)
     with pytest.raises(DimensionError):
         tv_residuals(1, 0.5, 0.5)
+    # a non-integer size is refused, not computed with ln 2.5 and labelled n=2
+    for n in (2.5, 64.0, True, 2 ** 53):
+        with pytest.raises(DimensionError):
+            tv_residuals(n, 0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +481,7 @@ def test_lemma_residual_rejects_unordered():
 
 def test_brute_force_simplex_finds_seven_points():
     found = brute_force_simplex(SQ, 3, 2e-3)
+    assert len(found) == 7  # every point carries one of the three labels
     by_kind = {k: [e for e in found if e.kind == k] for k in ("max", "min", "saddle")}
     assert len(by_kind["max"]) == 3
     assert len(by_kind["saddle"]) == 3

@@ -6,11 +6,12 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import (family_complexity_direct, normalized, scalar_complexity,
-                              scalar_disequilibrium, scalar_entropy, spectrum_distribution)
+from scalar_reference import (family_complexity_direct, indicator_mask, normalized,
+                              scalar_complexity, scalar_disequilibrium, scalar_entropy,
+                              spectrum_distribution)
 from statcomplex import (ComplexityKind, FamilyPoint, SignalConfig, classify_windows,
-                         complexity_series, complexity_value, family_eval, indicator_mask, jsd,
-                         kernels, total_variation)
+                         complexity_series, complexity_value, family_eval, jsd, kernels,
+                         total_variation)
 from statcomplex.sigproc import WINDOW_MIXED, WINDOW_OFF, WINDOW_ON
 
 CODES = list(ComplexityKind)

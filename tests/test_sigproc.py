@@ -14,8 +14,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from scalar_reference import (report_to_dict, scalar_complexity, scalar_disequilibrium,
-                              scalar_entropy, spectrum_distribution)
+from scalar_reference import (indicator_mask, report_to_dict, scalar_complexity,
+                              scalar_disequilibrium, scalar_entropy, spectrum_distribution)
 from statcomplex import (
     AliasingError,
     ComplexityKind,
@@ -26,7 +26,6 @@ from statcomplex import (
     classify_windows,
     complexity_series,
     detect,
-    indicator_mask,
     maximize_family,
     read_samples,
     reference_config,
