@@ -72,8 +72,10 @@ def family_surface(kind: ComplexityKind, n: int, omegas, p_maxes) -> np.ndarray:
 
 
 def simplex3_surface(kind: ComplexityKind, m: int) -> np.ndarray:
-    """Complexity over the lattice {(i/m, j/m, 1-i/m-j/m)}; NaN off-simplex."""
+    """Complexity over the lattice {(i/m, j/m, 1-i/m-j/m)}, m >= 2 an integer; NaN off-simplex."""
     _check_kind(kind)
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise RangeError(f"simplex lattice needs an integer m, got {m!r}")
     if m < 2:
         raise RangeError("simplex lattice needs m >= 2")
     return np.asarray(kernels.simplex3_c_grid(kind, int(m)))

@@ -116,7 +116,9 @@ class FamilyPoint:
 # ---------------------------------------------------------------------------
 
 def uniform(n: int) -> DiscreteDistribution:
-    """Uniform distribution over n >= 2 states."""
+    """Uniform distribution over n >= 2 states, n an int or numpy integer, not bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DimensionError(f"uniform needs an integer n, got {n!r}")
     if n < 2:
         raise DimensionError(f"uniform needs n >= 2, got {n}")
     return DiscreteDistribution(np.full(n, 1.0 / n))

@@ -321,8 +321,8 @@ def threshold(kind: ComplexityKind, n: int, fraction: float = 0.25) -> float:
 
 
 def build_optimum_table(kinds=None, ns=_TABLE_SIZES, mode: str = "continuous"):
-    """Optimum records for each (kind, n) pair, kind-major order."""
-    kinds = list(ComplexityKind) if kinds is None else [ComplexityKind.parse(k) if isinstance(k, str) else k for k in kinds]
+    """Optimum records for each (kind, n) pair, kind-major order; all kinds by default."""
+    kinds = list(ComplexityKind) if kinds is None else kinds
     return [maximize_family(k, n, mode=mode) for k in kinds for n in ns]
 
 

@@ -8,7 +8,7 @@ digits; JSON writes a list of objects whose floats are rounded to the
 same 6 digits (`round6`).  A list of rows is laid out from one template
 per list (`RowList`), byte for byte as `json.dump` would, and filled
 column by column: a float column is encoded in one pass (`json_floats`),
-with the same text as `json_float` gives each value.
+with the text that `json_scalar(round6(value))` gives each value.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ _INDENT = 2
 # Values per block of `_json_list` (a block holds one row at least): bounds the
 # text held at once.
 _BLOCK_VALUES = 1 << 14
-# The repr of a non-finite float, and the token `json.dumps` writes for it.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @contextmanager
@@ -66,17 +64,11 @@ def round6(value: float) -> float:
     return float(f"{value:.6g}")
 
 
-def json_float(value: float) -> str:
-    """`round6(value)` as `json.dumps` writes it."""
-    text = repr(float(f"{value:.6g}"))
-    return _JSON_NONFINITE.get(text, text)
-
-
 def _differs_from_repr(text: str) -> bool:
-    """Whether `json_float` writes other than `text`, the "{:.6g}" text of a value:
-    a text with neither "." nor "e" (an integral result, +-0, nan or inf), or an
-    exponent from 6 to 15 (|value| in [999999.5, 1e16)), or one of -308 or below,
-    where subnormals lie."""
+    """Whether `json_scalar(round6(value))` writes other than `text`, the "{:.6g}"
+    text of `value`: a text with neither "." nor "e" (an integral result, +-0,
+    nan or inf), or an exponent from 6 to 15 (|value| in [999999.5, 1e16)), or
+    one of -308 or below, where subnormals lie."""
     if "e" not in text:
         return "." not in text
     exponent = int(text[text.index("e") + 1:])
@@ -84,14 +76,16 @@ def _differs_from_repr(text: str) -> bool:
 
 
 def json_floats(values) -> list:
-    """`json_float` of each of `values`, a sequence of floats, as a list of texts.
+    """`json_scalar(round6(value))`, the JSON text of the value rounded to 6
+    significant digits, of each of `values`, a sequence of floats, as a list.
 
     The column is formatted by "{:.6g}" in one pass.  Where
-    `_differs_from_repr` does not mark it, that text is `json_float`'s,
-    `repr(float(text))`: it has at most 6 significant digits, which every
-    normal float64 keeps, and both switch to an exponent below 1e-4.  The
-    marked texts go through `json_float`.  The joined column is searched
-    for them first, so a column without any is not looked at value by value.
+    `_differs_from_repr` does not mark it, that text is the rounded value's
+    repr, `repr(float(text))`: it has at most 6 significant digits, which
+    every normal float64 keeps, and both switch to an exponent below 1e-4.
+    The marked texts go through `json_scalar(round6(value))`.  The joined
+    column is searched for them first, so a column without any is not looked
+    at value by value.
     """
     texts = list(map("{:.6g}".format, values))
     # a text holds at most one ".", and an exponent never spans two texts
@@ -100,7 +94,7 @@ def json_floats(values) -> list:
             or "e+0" in joined or "e+1" in joined or "e-3" in joined):
         for i, text in enumerate(texts):
             if ("." not in text or "e" in text) and _differs_from_repr(text):
-                texts[i] = json_float(values[i])
+                texts[i] = json_scalar(round6(values[i]))
     return texts
 
 

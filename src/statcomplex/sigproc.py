@@ -16,6 +16,7 @@ can be re-noised and vice versa.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import reprlib
@@ -49,90 +50,72 @@ _MAX_WAV_RATE = 2 ** 31 - 1
 _SYNTH_BLOCK = 2 ** 14
 
 
-def _check_sample_rate(sr) -> None:
-    if not (isinstance(sr, (int, np.integer)) or float(sr).is_integer()):
-        raise RangeError("sample rate must be an integer number of Hz")
-    if not sr > 0:
-        raise RangeError("sample rate must be positive")
-    if not sr < _MAX_SAMPLE_RATE:
-        raise RangeError("sample rate must be below 2**53 Hz")
-
-
-def _check_seed(seed) -> None:
-    if not seed >= 0:
-        raise RangeError(f"seed must be >= 0, got {seed!r}")
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
 
-def _from_json(d, what: str, converters: dict) -> dict:
-    """The keys of the JSON object `d`, each through its converter; a RangeError
-    names a key whose value the converter refuses.  Ranges are the constructor's."""
+def _malformed(what: str, key: str, value) -> RangeError:
+    return RangeError(f"{what} key {key!r} has a malformed value {reprlib.repr(value)}")
+
+
+def _number(value, what: str, key: str, shown=None) -> float:
+    """`value`, the field `key` of a config or component (`what`), as a Python float;
+    RangeError, showing `shown` (default `value`), for a bool or a non-real."""
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise _malformed(what, key, value if shown is None else shown)
+
+
+def _check_sample_rate(sr) -> int:
+    """`sr` as an int, once it is a whole number of Hz in [1, 2**53); an int stays exact."""
+    if isinstance(sr, bool) or not isinstance(sr, (int, np.integer)):
+        sr = _number(sr, "config", "sample_rate")
+        if not sr.is_integer():
+            raise RangeError("sample rate must be an integer number of Hz")
+    if not sr > 0:
+        raise RangeError("sample rate must be positive")
+    if not sr < _MAX_SAMPLE_RATE:
+        raise RangeError("sample rate must be below 2**53 Hz")
+    return int(sr)
+
+
+def _check_seed(seed) -> int:
+    """`seed` as an int, once it is an int or numpy integer >= 0, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise _malformed("config", "seed", seed)
+    if not seed >= 0:
+        raise RangeError(f"seed must be >= 0, got {int(seed)}")
+    return int(seed)
+
+
+def _json_object(d, cls, what: str) -> None:
+    """RangeError unless `d` is a JSON object whose keys are fields of `cls`."""
+    fields = cls.__dataclass_fields__.keys()
     if not isinstance(d, dict):
         raise RangeError(f"{what} must be a JSON object, got {reprlib.repr(d)}")
-    if not d.keys() <= converters.keys():
-        raise RangeError(f"unknown {what} keys: {sorted(d.keys() - converters.keys())}")
-    values = {}
-    for key, value in d.items():
-        try:
-            values[key] = converters[key](value)
-        except (TypeError, ValueError, OverflowError):
-            raise RangeError(
-                f"{what} key {key!r} has a malformed value {reprlib.repr(value)}") from None
-    return values
-
-
-def _json_int(value) -> int:
-    """A JSON integer; a float or a bool, which `int` would take, is refused."""
-    if type(value) is not int:
-        raise TypeError(value)
-    return value
-
-
-def _json_number(value, convert=float):
-    """`convert(value)` for a JSON number: a bool or a string, which `float`
-    would take for one, is refused."""
-    if isinstance(value, (bool, str)):
-        raise TypeError(value)
-    return convert(value)
-
-
-def _json_array(value):
-    """A JSON array; `list` would take a string or an object too."""
-    if not isinstance(value, list):
-        raise TypeError(value)
-    return value
-
-
-def _interval(value, number=float):
-    """A pair of times, each through `number`; None (the whole record) stays None."""
-    if value is None:
-        return None
-    start, end = value
-    return number(start), number(end)
-
-
-# The converter of each key that `HarmonicComponent.from_dict`
-# and `SignalConfig.from_dict` take.
-_COMPONENT_KEYS = dict.fromkeys(("amplitude", "frequency", "phase"), _json_number)
-_CONFIG_KEYS = {
-    # operator.pos takes numbers only, and keeps an int exact
-    "sample_rate": lambda value: _json_number(value, operator.pos),
-    "duration": _json_number, "components": _json_array, "noise_sigma": _json_number,
-    "indicator_on": lambda value: _interval(value, _json_number), "seed": _json_int}
+    if not d.keys() <= fields:
+        raise RangeError(f"unknown {what} keys: {sorted(d.keys() - fields)}")
 
 
 @dataclass(frozen=True)
 class HarmonicComponent:
-    """One cosine: amplitude * cos(2 pi frequency t + phase)."""
+    """One cosine: amplitude * cos(2 pi frequency t + phase).  Each field is a real
+    number, not a bool, stored as a Python float; all are finite, the frequency
+    positive and the amplitude >= 0.  Else RangeError."""
 
     amplitude: float
     frequency: float
     phase: float = 0.0
 
     def __post_init__(self):
+        for key in self.__dataclass_fields__:  # a float is kept: no call, no store
+            if type(getattr(self, key)) is not float:
+                object.__setattr__(self, key, _number(getattr(self, key), "component", key))
         if not self.frequency > 0.0 or not math.isfinite(self.frequency):
             raise RangeError("component frequency must be positive and finite")
         if self.amplitude < 0.0 or not math.isfinite(self.amplitude):
@@ -145,15 +128,25 @@ class HarmonicComponent:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HarmonicComponent":
-        values = _from_json(d, "component", _COMPONENT_KEYS)
-        if "frequency" not in values:
+        """The component of the JSON object `d`, whose keys are fields; `frequency`
+        is required, `amplitude` defaults to 1.0, and the constructor checks values."""
+        _json_object(d, cls, "component")
+        if "frequency" not in d:
             raise RangeError("component needs a frequency")
-        return cls(**{"amplitude": 1.0, **values})
+        return cls(**{"amplitude": 1.0, **d})
 
 
 @dataclass(frozen=True)
 class SignalConfig:
-    """Full description of one synthetic record, including its seed."""
+    """Full description of one synthetic record, including its seed.
+
+    The constructor checks each field and stores it as a Python type: `sample_rate`
+    a whole number of Hz in [1, 2**53), as an int; `duration` and `noise_sigma`
+    real numbers, as floats; `components` a list or tuple of HarmonicComponents
+    and `indicator_on` None (the whole record) or a list or tuple of two real
+    numbers, each as a tuple; `seed` an int or numpy integer >= 0, not a bool, as
+    an int.  Else RangeError: "config key 'seed' has a malformed value 2.7".
+    """
 
     sample_rate: int
     duration: float
@@ -163,9 +156,11 @@ class SignalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_sample_rate(self.sample_rate)
-        _check_seed(self.seed)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        set_field = partial(object.__setattr__, self)
+        set_field("sample_rate", _check_sample_rate(self.sample_rate))
+        set_field("seed", _check_seed(self.seed))
+        for key in ("duration", "noise_sigma"):
+            set_field(key, _number(getattr(self, key), "config", key))
         if not self.duration > 0.0:
             raise RangeError("duration must be positive")
         if not self.sample_rate * self.duration <= _MAX_SAMPLES:
@@ -176,15 +171,20 @@ class SignalConfig:
                              "rounds to 0 samples")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise RangeError(f"noise level must be finite and >= 0, got {self.noise_sigma!r}")
-        object.__setattr__(self, "components", tuple(self.components))
-        t_start, t_end = _interval(self.indicator_on) or (0.0, float(self.duration))
-        object.__setattr__(self, "indicator_on", (t_start, t_end))
-        if not 0.0 <= t_start < t_end <= self.duration:
+        on = (0.0, self.duration) if self.indicator_on is None else self.indicator_on
+        if not (isinstance(on, (list, tuple)) and len(on) == 2):
+            raise _malformed("config", "indicator_on", on)
+        on = tuple(_number(t, "config", "indicator_on", on) for t in on)
+        set_field("indicator_on", on)
+        if not 0.0 <= on[0] < on[1] <= self.duration:
             raise RangeError("indicator interval must satisfy 0 <= start < end <= duration")
+        comps = self.components
+        if not (isinstance(comps, (list, tuple))
+                and all(isinstance(comp, HarmonicComponent) for comp in comps)):
+            raise _malformed("config", "components", comps)
+        set_field("components", tuple(comps))
         nyquist = self.sample_rate / 2.0
-        for comp in self.components:
-            if not isinstance(comp, HarmonicComponent):
-                raise RangeError("components must be HarmonicComponent instances")
+        for comp in comps:
             if comp.frequency >= nyquist:
                 raise AliasingError(
                     f"component at {comp.frequency} Hz is not below the "
@@ -219,11 +219,16 @@ class SignalConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SignalConfig":
-        values = _from_json(d, "config", _CONFIG_KEYS)
-        if "sample_rate" not in values or "duration" not in values:
+        """The config of the JSON object `d`, whose keys are fields; `sample_rate` and
+        `duration` are required, `components` is a JSON array of component objects
+        (`HarmonicComponent.from_dict`), and the constructor checks values."""
+        _json_object(d, cls, "config")
+        if "sample_rate" not in d or "duration" not in d:
             raise RangeError("config needs sample_rate and duration")
-        values["components"] = tuple(map(HarmonicComponent.from_dict, values.get("components", ())))
-        return cls(**values)
+        components = d.get("components", [])
+        if not isinstance(components, list):
+            raise _malformed("config", "components", components)
+        return cls(**{**d, "components": tuple(map(HarmonicComponent.from_dict, components))})
 
 
 def reference_config(n_components: int, seed: int = 0, sample_rate: int = 8192,
@@ -241,8 +246,7 @@ def reference_config(n_components: int, seed: int = 0, sample_rate: int = 8192,
     """
     if n_components < 0:
         raise RangeError("number of components must be >= 0")
-    _check_sample_rate(sample_rate)
-    _check_seed(seed)
+    sample_rate, seed = _check_sample_rate(sample_rate), _check_seed(seed)
     if window_length < 64 or window_length & (window_length - 1):
         raise RangeError("window length must be a power of two >= 64")
     rng = np.random.default_rng([seed, 0])
@@ -251,11 +255,8 @@ def reference_config(n_components: int, seed: int = 0, sample_rate: int = 8192,
         raise RangeError("more components requested than admissible bins")
     bins = np.sort(rng.choice(np.arange(lo, hi + 1), size=n_components, replace=False))
     phases = rng.uniform(0.0, TWO_PI, size=n_components)
-    comps = tuple(
-        HarmonicComponent(amplitude=amplitude, frequency=int(b) * sample_rate / window_length,
-                          phase=float(ph))
-        for b, ph in zip(bins, phases)
-    )
+    comps = tuple(HarmonicComponent(amplitude, int(b) * sample_rate / window_length, phase)
+                  for b, phase in zip(bins, phases))
     if noise_sigma is None:
         if n_components == 0:
             raise RangeError("a component-free record needs an explicit noise level")
@@ -857,7 +858,7 @@ def write_report_json(path, report: DetectionReport) -> None:
     to the same config.
     """
     series = report.series
-    keys = tuple(_COMPONENT_KEYS)
+    keys = tuple(HarmonicComponent.__dataclass_fields__)  # the field names, in order
     components = RowList(keys, map(operator.attrgetter(*keys), report.config.components),
                          (partial(map, json_scalar),) * len(keys))
     decisions = map(_JSON_BOOLS.__getitem__, series.decisions.view(np.int8).tolist())

@@ -258,6 +258,17 @@ def test_simplex3_surface():
         simplex3_surface(ComplexityKind.SQ, 1)
 
 
+def test_simplex_lattice_refuses_non_integer_m(tmp_path):
+    # a float m was truncated: m = 10.7 gave the m = 10 lattice
+    for m in (10.7, 10.0, True, "10"):
+        with pytest.raises(RangeError, match="integer m"):
+            simplex3_surface(ComplexityKind.SQ, m)
+        with pytest.raises(RangeError, match="integer m"):
+            write_simplex_grid_csv(tmp_path / "grid.csv", ComplexityKind.SQ, m)
+    assert not (tmp_path / "grid.csv").exists()
+    assert simplex3_surface(ComplexityKind.SQ, np.int64(10)).shape == (11, 11)
+
+
 def test_family_surface_rejects_n_below_2():
     for n in (1, 0, -3):
         with pytest.raises(DimensionError, match=f"got {n}"):

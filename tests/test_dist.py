@@ -24,6 +24,14 @@ def test_uniform_needs_two_states():
         uniform(1)
 
 
+def test_uniform_refuses_non_integer_size():
+    # numpy raised a bare TypeError for 2.5
+    for n in (2.5, 4.0, True, "4"):
+        with pytest.raises(DimensionError, match="integer n"):
+            uniform(n)
+    assert uniform(np.int64(4)).n == 4
+
+
 def test_distribution_validation():
     with pytest.raises(DimensionError):
         DiscreteDistribution(np.array([1.0]))

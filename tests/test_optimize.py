@@ -373,6 +373,12 @@ def test_threshold_linear_in_fraction():
 # table building
 # ---------------------------------------------------------------------------
 
+def test_build_table_refuses_kind_names():
+    # a kind is a ComplexityKind here too, as in maximize_family: "tv" was parsed
+    with pytest.raises(RangeError, match="ComplexityKind"):
+        build_optimum_table(kinds=["tv"], ns=(3,))
+
+
 def test_build_table_and_csv(tmp_path):
     records = build_optimum_table(ns=(3, 256))
     assert len(records) == 6

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statcomplex import rows
-from statcomplex.rows import (RowList, json_float, json_floats, json_scalar, open_output,
-                              round6, write_json, write_rows)
+from statcomplex.rows import (RowList, json_floats, json_scalar, open_output, round6,
+                              write_json, write_rows)
 from statcomplex.sigproc import write_samples
 
 HEADER = ("kind", "n", "c", "flag")
@@ -27,9 +27,9 @@ def test_round6():
     assert math.isnan(round6(math.nan))
 
 
-# Values where "{:.6g}" and `json_float` part, or nearly do: +-0, integral and band
-# results, exponents at the band's edges, the smallest normal, subnormals, non-finite
-# values, and ties at the 6th digit (123456.5 and 2**-16 are exact ties).
+# Values where "{:.6g}" and `json.dumps(round6(v))` part, or nearly do: +-0, integral
+# and band results, exponents at the band's edges, the smallest normal, subnormals,
+# non-finite values, and ties at the 6th digit (123456.5 and 2**-16 are exact ties).
 EDGES = [0.0, -0.0, 1.0, -3.0, 0.9999995, 999999.4999, 999999.5, -999999.5, 9.9999951e15,
          9.9999949e15, 1e16, 1e17, 1e-5, 2.5e-5, 1e-300, sys.float_info.min,
          -sys.float_info.min, 2.2250738585072009e-308, 1e-310, 5e-324, -5e-324,
@@ -38,7 +38,7 @@ EDGES = [0.0, -0.0, 1.0, -3.0, 0.9999995, 999999.4999, 999999.5, -999999.5, 9.99
 
 
 def test_json_floats_edges():
-    assert json_floats(EDGES) == [json_float(v) for v in EDGES]
+    assert json_floats(EDGES) == [json.dumps(round6(v)) for v in EDGES]
     assert json_floats(EDGES[:3]) == ["0.0", "-0.0", "1.0"]
     assert json_floats([999999.5, 5e-324, math.nan]) == ["1000000.0", "5e-324", "NaN"]
     assert json_floats([]) == []
@@ -52,8 +52,8 @@ def _from_bits(bits):
 @given(st.lists(st.integers(0, 2 ** 64 - 1).map(_from_bits), max_size=40))
 @example([_from_bits(0x000FFFFFFFFFFFFF)])  # the largest subnormal
 @example([_from_bits(0x7FF8000000000001), 0.25])  # a NaN with payload
-def test_json_floats_matches_json_float_on_bit_patterns(values):
-    assert json_floats(values) == [json_float(v) for v in values]
+def test_json_floats_matches_json_dumps_on_bit_patterns(values):
+    assert json_floats(values) == [json.dumps(round6(v)) for v in values]
 
 
 @pytest.mark.parametrize("indent", [None, 2])

@@ -162,6 +162,78 @@ def test_config_numpy_scalars_unchanged():
     assert back == cfg
 
 
+_GOOD_JSON = {"sample_rate": 8192, "duration": 1.0, "noise_sigma": 0.5,
+              "indicator_on": [0.25, 0.75], "components": [{"frequency": 440.0}]}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sample_rate", True), ("sample_rate", "8192"), ("duration", True), ("duration", "1.5"),
+    ("noise_sigma", False), ("noise_sigma", "0.5"), ("indicator_on", [True, 0.5]),
+    ("indicator_on", ["0", 0.5]), ("indicator_on", "01"), ("components", "abc"),
+    ("components", {}), ("components", ({"frequency": 440.0},)), ("seed", 2.7),
+    ("seed", True), ("seed", None), ("duration", None), ("noise_sigma", [1]),
+    ("indicator_on", 5), ("indicator_on", [1]), ("components", 5),
+])
+def test_config_constructor_refuses_what_from_dict_refuses(key, value):
+    # one rule set: the constructor refuses each value with from_dict's message
+    with pytest.raises(RangeError) as from_json:
+        SignalConfig.from_dict({**_GOOD_JSON, key: value})
+    fields = {**_GOOD_JSON, "components": (HarmonicComponent(1.0, 440.0),), key: value}
+    with pytest.raises(RangeError, match=f"config key '{key}' has a malformed value") as built:
+        SignalConfig(**fields)
+    assert str(built.value) == str(from_json.value)
+
+
+@pytest.mark.parametrize("key, value", [("amplitude", True), ("frequency", "440"),
+                                        ("phase", False), ("phase", "0"),
+                                        ("frequency", None), ("phase", [])])
+def test_component_constructor_refuses_what_from_dict_refuses(key, value):
+    with pytest.raises(RangeError) as from_json:
+        HarmonicComponent.from_dict({"frequency": 440.0, key: value})
+    with pytest.raises(RangeError, match=f"component key '{key}' has a malformed value") as built:
+        HarmonicComponent(**{"amplitude": 1.0, "frequency": 440.0, key: value})
+    assert str(built.value) == str(from_json.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", 2.7), ("seed", np.float64(3.0)), ("seed", np.bool_(False)),
+    ("indicator_on", ("0.25", "0.75")), ("indicator_on", (0.25,)),
+    ("indicator_on", np.array([0.25, 0.75])), ("sample_rate", "8192"),
+    ("sample_rate", np.array([8192, 8192])), ("duration", b"1.0"),
+    ("noise_sigma", np.bool_(True)), pytest.param("noise_sigma", 10 ** 400, id="noise_sigma-1e400"),
+    ("components", iter(())), ("components", [{"frequency": 440.0}]),
+])
+def test_config_constructor_refuses_python_only_values(key, value):
+    # values that JSON cannot hold; before, some were taken and failed later
+    # (synthesize raised a bare TypeError on seed 2.7), and some raised one here
+    with pytest.raises(RangeError, match=f"config key '{key}' has a malformed value"):
+        SignalConfig(**{"sample_rate": 8192, "duration": 1.0, key: value})
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), None, pytest.param(10 ** 400, id="1e400"),
+                                   np.array([1.0, 2.0])])
+def test_component_constructor_refuses_python_only_values(value):
+    with pytest.raises(RangeError, match="component key 'amplitude' has a malformed value"):
+        HarmonicComponent(amplitude=value, frequency=440.0)
+
+
+def test_config_stores_python_numbers_and_reads_back_from_its_json(tmp_path):
+    comps = [HarmonicComponent(np.int64(2), 440, np.float32(0.25)),
+             HarmonicComponent(1, np.float64(880.0))]
+    cfg = SignalConfig(sample_rate=np.uint16(8192), duration=1, components=comps,
+                       noise_sigma=np.float32(0.5), indicator_on=[np.int64(0), 0.5],
+                       seed=np.uint8(3))
+    assert [type(v) for v in vars(cfg).values()] == [int, float, tuple, float, tuple, int]
+    assert {type(t) for t in cfg.indicator_on} == {float}
+    assert {type(v) for comp in cfg.components for v in vars(comp).values()} == {float}
+    # the config echo of synth and of the report both load back to the same config
+    rows.write_json(tmp_path / "config.json", cfg.to_dict())
+    assert SignalConfig.from_dict(json.loads((tmp_path / "config.json").read_text())) == cfg
+    write_report_json(tmp_path / "report.json", detect(synthesize(cfg), cfg, TV))
+    echo = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert SignalConfig.from_dict(echo) == cfg
+
+
 def test_reference_config_structure():
     cfg = reference_config(3, seed=0)
     freqs = [c.frequency for c in cfg.components]
